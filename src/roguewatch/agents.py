@@ -54,11 +54,6 @@ class AgentDecision:
     positions: tuple[tuple[float, ...], ...] = ()
 
 
-def decide(backend, observation: AgentObservation) -> AgentDecision:
-    """Dispatch to a backend; exists so harness code reads uniformly."""
-    return backend.decide(observation)
-
-
 def distribution_with_entropy(target: float, size: int = 10) -> tuple[float, ...]:
     """A two-level distribution over ``size`` candidates with the given
     entropy (nats): probability p on the first entry, the rest uniform.
@@ -334,19 +329,14 @@ class RogueProfile:
         if not self.clean_band[1] < self.corrupt_band[0]:
             raise ValueError("clean band must sit strictly below the corrupt band")
 
-    def to_json_obj(self) -> dict:
-        return {
-            "epsilon": self.epsilon,
-            "behaviors": {name: w for name, w in self.behaviors},
-            "clean_band": list(self.clean_band),
-            "corrupt_band": list(self.corrupt_band),
-        }
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RogueProfile":
+        """From a backend spec like {"epsilon": 0.3}; omitted behaviors and
+        bands take the defaults above."""
+        behaviors = obj.get("behaviors", {BEHAVIOR_HALLUCINATE: 1.0})
         return cls(
             epsilon=obj["epsilon"],
-            behaviors=tuple(sorted(obj["behaviors"].items())),
+            behaviors=tuple(sorted(behaviors.items())),
             clean_band=tuple(obj.get("clean_band", CLEAN_BAND)),
             corrupt_band=tuple(obj.get("corrupt_band", CORRUPT_BAND)),
         )

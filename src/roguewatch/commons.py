@@ -24,13 +24,6 @@ class CommonsConfig:
     m: int = 12
     n_agents: int = 4
 
-    def to_json_obj(self) -> dict:
-        return {"R0": self.r0, "gamma": self.gamma, "m": self.m, "n_agents": self.n_agents}
-
-    @classmethod
-    def from_json_obj(cls, obj: dict) -> "CommonsConfig":
-        return cls(r0=obj["R0"], gamma=obj["gamma"], m=obj["m"], n_agents=obj["n_agents"])
-
     @property
     def sustainable_total(self) -> float:
         """The harvest ceiling c = m * R0 / 2 used by the efficiency metric."""
@@ -187,26 +180,3 @@ class GreedyHarvester:
 
     def discussion_line(self, stock: float) -> str:
         return f"{self.agent_id}: I plan to take {self.request(stock):g} fish next."
-
-
-def run_commons_game(
-    config: CommonsConfig,
-    policies: Sequence,
-    seed: int,
-    discussion: bool = True,
-) -> CommonsState:
-    """Play all m rounds with scripted harvest policies; returns final state."""
-    state = CommonsState.fresh(config)
-    for round_index in range(config.m):
-        requests = {p.agent_id: p.request(state.stock) for p in policies}
-        harvest_phase(state, requests, seed=readable_round_seed(seed, round_index))
-        if discussion:
-            for p in policies:
-                post_discussion(state, p.agent_id, p.discussion_line(state.stock))
-        regrow(state)
-    return state
-
-
-def readable_round_seed(seed: int, round_index: int) -> int:
-    # Keep harvest-order seeds decorrelated between rounds.
-    return (seed * 1_000_003 + round_index) & 0xFFFFFFFF

@@ -192,13 +192,6 @@ class GameSpec:
             seed=obj["seed"],
         )
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GameSpec":
-        return cls.from_json_obj(json.loads(text))
-
 
 def generate_game(
     variant: Variant | str,
@@ -263,14 +256,6 @@ class Message:
     kind: MessageKind
     text: str
     payload: dict = field(default_factory=dict)
-
-    def to_json_obj(self) -> dict:
-        return {
-            "author": self.author,
-            "kind": self.kind.value,
-            "text": self.text,
-            "payload": self.payload,
-        }
 
 
 class CommunicationChannel:

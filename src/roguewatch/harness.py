@@ -13,9 +13,9 @@ import logging
 import math
 import statistics
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .agents import (
     AgentObservation,
@@ -38,7 +38,6 @@ from .commons import (
 )
 from .core import (
     GameSpec,
-    Outcome,
     Trajectory,
     TurnRecord,
     derive_seed,
@@ -56,7 +55,6 @@ from .intervention import (
     InterventionKind,
     InterventionPolicy,
     TriggerBudget,
-    evaluate_random_trigger,
     evaluate_trigger,
     full_reset,
     round_reset,
@@ -82,6 +80,8 @@ from .whodunit import (
 )
 
 logger = logging.getLogger("roguewatch.harness")
+
+Monitor = MonitorModel | RandomMonitor
 
 COMMONS_TRAIN_POOL = tuple(105 + 5 * k for k in range(20))
 COMMONS_TEST_R0 = (100,) + tuple(range(210, 301, 5))
@@ -199,23 +199,10 @@ class ExperimentConfig:
     commons_policies: tuple[str, ...] = ("sustainable", "sustainable", "sustainable", "sustainable")
 
     def to_json_obj(self) -> dict:
-        return {
-            "env": self.env,
-            "variant": self.variant,
-            "n_suspects": self.n_suspects,
-            "turn_limit": self.turn_limit,
-            "n_agents": self.n_agents,
-            "facts_per_agent": self.facts_per_agent,
-            "agents": self.agents,
-            "monitor": self.monitor,
-            "intervention": self.intervention.to_json_obj(),
-            "repetitions": self.repetitions,
-            "base_seed": self.base_seed,
-            "parallelism": self.parallelism,
-            "commons_gamma": self.commons_gamma,
-            "commons_m": self.commons_m,
-            "commons_policies": list(self.commons_policies),
-        }
+        obj = {f.name: getattr(self, f.name) for f in fields(self)}
+        obj["intervention"] = self.intervention.to_json_obj()
+        obj["commons_policies"] = list(self.commons_policies)
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
@@ -244,18 +231,8 @@ def build_whodunit_backends(
         if kind == "scripted":
             backends[agent_id] = base_factory()
         elif kind == "rogue":
-            profile = RogueProfile(
-                epsilon=cfg.get("epsilon", 0.0),
-                behaviors=tuple(
-                    sorted(cfg.get("behaviors", {"hallucinate-fact": 1.0}).items())
-                ),
-                clean_band=tuple(cfg["clean_band"]) if "clean_band" in cfg else (0.0, 0.2),
-                corrupt_band=tuple(cfg["corrupt_band"])
-                if "corrupt_band" in cfg
-                else (0.8, math.log(10.0)),
-            )
             backends[agent_id] = RogueAgent(
-                profile,
+                RogueProfile.from_json_obj({"epsilon": 0.0, **cfg}),
                 base_factory,
                 spec,
                 seed=derive_seed(game_seed, "rogue", agent_id),
@@ -287,15 +264,15 @@ def _scripted_factory(role: str, cfg: dict) -> Callable[[], object]:
 def drive_whodunit(
     state: WhodunitState,
     backends: dict[str, object],
-    monitors: Optional[dict[str, MonitorModel]] = None,
-    random_monitors: Optional[dict[str, RandomMonitor]] = None,
+    monitors: Optional[dict[str, Monitor]] = None,
     policy: InterventionPolicy = InterventionPolicy(),
 ) -> Trajectory:
     """Play one game to termination, monitoring each decision before it is
     committed. A triggered full reset discards the decision, empties the
     channel, resets every backend and the in-game turn counter, and lets
     the cumulative dialog counter keep running."""
-    monitoring = policy.kind is not InterventionKind.NONE and (monitors or random_monitors)
+    if policy.kind is InterventionKind.NONE or monitors is None:
+        monitors = {}  # nothing is scored, so no random draw is spent
     budget = TriggerBudget(policy.cap_per_role)
     trajectory = Trajectory(game=state.spec)
     dialog = 0
@@ -310,103 +287,76 @@ def drive_whodunit(
             role=role,
             n_suspects=len(state.spec.suspects),
         )
+        dialog += 1
+        fired = False
+        intervention = None
         try:
             decision = backends[agent].decide(obs)
-        except MalformedGenerationError:
-            dialog += 1
-            consume_turn(state)
-            trajectory.turns.append(
-                TurnRecord(
-                    turn_index=obs.turn_index,
-                    dialog_index=dialog,
-                    agent_id=agent,
-                    role=role,
-                    action={"kind": "skip", "malformed": True},
-                    features=None,
-                )
-            )
-            continue
-        dialog += 1
-        features = extract_features(decision.positions, state.turn_index)
-
-        fired = False
-        if monitoring and features is not None:
-            if monitors and role in monitors:
-                model = monitors[role]
+            features = extract_features(decision.positions, obs.turn_index)
+            model = monitors.get(role)
+            if model is not None and features is not None:
                 fired = evaluate_trigger(
                     model.predict_success(features), model.tau, budget, role
                 )
-            elif random_monitors and role in random_monitors:
-                fired = evaluate_random_trigger(
-                    random_monitors[role].should_trigger(), budget, role
-                )
-
-        if fired and policy.kind is InterventionKind.FULL_RESET:
-            trajectory.turns.append(
-                TurnRecord(
-                    turn_index=state.turn_index,
-                    dialog_index=dialog,
-                    agent_id=agent,
-                    role=role,
-                    action=decision.action.to_json_obj(),
-                    features=features.to_json_obj(),
-                    trigger_fired=True,
-                    intervention=InterventionKind.FULL_RESET.value,
-                )
-            )
-            full_reset(state)
-            for backend in backends.values():
-                backend.reset()
-            continue
-
-        applied = None
-        if fired and policy.kind is InterventionKind.RESAMPLE:
-            backend = backends[agent]
-            applied = InterventionKind.RESAMPLE.value
-            try:
+            if fired and policy.kind is InterventionKind.RESAMPLE:
+                intervention = policy.kind.value
+                backend = backends[agent]
                 if hasattr(backend, "resample"):
                     decision = backend.resample(obs, temperature=policy.resample_temperature)
                 else:
                     decision = backend.decide(obs)
-            except MalformedGenerationError:
-                consume_turn(state)
-                trajectory.turns.append(
-                    TurnRecord(
-                        turn_index=obs.turn_index,
-                        dialog_index=dialog,
-                        agent_id=agent,
-                        role=role,
-                        action={"kind": "skip", "malformed": True},
-                        features=None,
-                        trigger_fired=True,
-                        intervention=applied,
-                    )
-                )
-                continue
-            features = extract_features(decision.positions, state.turn_index)
+                features = extract_features(decision.positions, obs.turn_index)
+        except MalformedGenerationError:
+            decision = features = None
 
-        turn_index = state.turn_index
-        try:
-            step(state, decision.action)
-            action_obj = decision.action.to_json_obj()
-        except IllegalActionError:
+        if decision is None:
             consume_turn(state)
-            action_obj = {"kind": "skip", "illegal": True}
+            action = {"kind": "skip", "malformed": True}
+        elif fired and policy.kind is InterventionKind.FULL_RESET:
+            intervention = policy.kind.value
+            action = decision.action.to_json_obj()
+            full_reset(state)
+            for backend in backends.values():
+                backend.reset()
+        else:
+            try:
+                step(state, decision.action)
+                action = decision.action.to_json_obj()
+            except IllegalActionError:
+                consume_turn(state)
+                action = {"kind": "skip", "illegal": True}
         trajectory.turns.append(
             TurnRecord(
-                turn_index=turn_index,
+                turn_index=obs.turn_index,
                 dialog_index=dialog,
                 agent_id=agent,
                 role=role,
-                action=action_obj,
+                action=action,
                 features=features.to_json_obj() if features else None,
                 trigger_fired=fired,
-                intervention=applied,
+                intervention=intervention,
             )
         )
     trajectory.outcome = state.outcome
     trajectory.accused_id = state.accused_id
     return trajectory
+
+
+def _game_monitors(
+    config: ExperimentConfig,
+    game_seed: int,
+    roles: Iterable[str],
+    monitors: Optional[dict[str, Monitor]],
+) -> dict[str, Monitor]:
+    """The monitors one game runs with: under a random monitor source every
+    role gets its own seeded RandomMonitor, and a fitted monitor wins for
+    its role."""
+    merged: dict[str, Monitor] = {}
+    if config.monitor.get("source") == "random":
+        p = config.monitor["p"]
+        merged = {role: RandomMonitor(p, derive_seed(game_seed, "rm", role)) for role in roles}
+    merged.update(monitors or {})
+    return merged
 
 
 def run_whodunit_game(
@@ -422,18 +372,11 @@ def run_whodunit_game(
         deal_seed=derive_seed(game_seed, "deal"),
     )
     backends = build_whodunit_backends(state, config.agents, spec, game_seed)
-    random_monitors = None
-    if config.monitor.get("source") == "random":
-        p = config.monitor["p"]
-        random_monitors = {
-            role: RandomMonitor(p, derive_seed(game_seed, "rm", role))
-            for role in {state.role_of(a) for a in state.order}
-        }
+    roles = {state.role_of(a) for a in state.order}
     return drive_whodunit(
         state,
         backends,
-        monitors=monitors,
-        random_monitors=random_monitors,
+        monitors=_game_monitors(config, game_seed, roles, monitors),
         policy=config.intervention,
     )
 
@@ -457,16 +400,9 @@ def run_commons_trial(
         cls = SustainableHarvester if kind == "sustainable" else GreedyHarvester
         policies.append(cls(f"p{index}", commons_config.n_agents))
 
-    random_monitors: Optional[dict[str, RandomMonitor]] = None
-    if config.monitor.get("source") == "random":
-        random_monitors = {
-            "harvester": RandomMonitor(
-                config.monitor["p"], derive_seed(game_seed, "rm", "harvester")
-            )
-        }
-    monitoring = config.intervention.kind is InterventionKind.ROUND_RESET and (
-        monitors or random_monitors
-    )
+    model = _game_monitors(config, game_seed, ("harvester",), monitors).get("harvester")
+    if config.intervention.kind is not InterventionKind.ROUND_RESET:
+        model = None
     budget = TriggerBudget(config.intervention.cap_per_role)
 
     state = CommonsState.fresh(commons_config)
@@ -477,19 +413,9 @@ def run_commons_trial(
         discussed = [(p.agent_id, p.discussion_line(state.stock)) for p in policies]
         for agent_id, line in discussed:
             post_discussion(state, agent_id, line)
-        if monitoring:
-            fired = False
+        if model is not None:
             features = extract_features(((1.0,) + (0.0,) * 9,), state.round_index)
-            if monitors and "harvester" in monitors:
-                model = monitors["harvester"]
-                fired = evaluate_trigger(
-                    model.predict_success(features), model.tau, budget, "harvester"
-                )
-            elif random_monitors:
-                fired = evaluate_random_trigger(
-                    random_monitors["harvester"].should_trigger(), budget, "harvester"
-                )
-            if fired:
+            if evaluate_trigger(model.predict_success(features), model.tau, budget, "harvester"):
                 round_reset(state)
                 for agent_id, line in discussed:
                     post_discussion(state, agent_id, line)
@@ -498,16 +424,22 @@ def run_commons_trial(
     return state, commons_metrics(state.history, commons_config), events
 
 
+WHODUNIT_METRICS = ("success_rate", "precision", "avg_length")
+COMMONS_METRICS = ("survival_time", "survival_rate", "efficiency")
+
+
 def _whodunit_metrics_obj(trajectories: Sequence[Trajectory]) -> dict:
+    """Metrics of one repetition; all None when no game of it was valid."""
+    if not trajectories:
+        return dict.fromkeys(WHODUNIT_METRICS)
     metrics = whodunit_metrics(trajectories)
-    return {
-        "success_rate": metrics.success_rate,
-        "precision": metrics.precision,
-        "avg_length": metrics.avg_length,
-    }
+    return {name: getattr(metrics, name) for name in WHODUNIT_METRICS}
 
 
 def _commons_metrics_obj(results: Sequence[CommonsMetrics]) -> dict:
+    """Metrics of one repetition; all None when no game of it was valid."""
+    if not results:
+        return dict.fromkeys(COMMONS_METRICS)
     return {
         "survival_time": statistics.fmean(m.survival_time for m in results),
         "survival_rate": 100.0 * sum(1 for m in results if m.survival_rate) / len(results),
@@ -631,67 +563,29 @@ def run_experiment(
     return report
 
 
-def corpus_from_trajectories(
-    trajectories: Sequence[Trajectory], role: str
-) -> TrainingCorpus:
-    """Per-turn rows labeled with the game outcome, from intervention-free
-    runs only (games containing any intervention are dropped)."""
-    corpus = TrainingCorpus()
-    for index, trajectory in enumerate(trajectories):
-        if any(t.intervention for t in trajectory.turns):
-            continue
-        label = float(trajectory.outcome is Outcome.SUCCESS)
-        for turn in trajectory.turns:
-            if turn.role == role and turn.features is not None:
-                corpus.rows.append(
-                    CorpusRow(
-                        features=FeatureVector.from_json_obj(turn.features),
-                        game_id=str(index),
-                        role=role,
-                        label=label,
-                    )
-                )
-    return corpus
-
-
-def game_records_from_trajectories(
-    trajectories: Sequence[Trajectory], role: str
-) -> list[GameRecord]:
-    records = []
-    for index, trajectory in enumerate(trajectories):
-        if any(t.intervention for t in trajectory.turns):
-            continue
-        features = tuple(
-            FeatureVector.from_json_obj(t.features)
-            for t in trajectory.turns
-            if t.role == role and t.features is not None
-        )
-        records.append(
-            GameRecord(
-                features=features,
-                label=trajectory.outcome is Outcome.SUCCESS,
-                game_id=str(index),
-            )
-        )
-    return records
-
-
-def _records_from_jsonl(path: Path, role: str) -> tuple[TrainingCorpus, list[GameRecord]]:
+def records_from_games(
+    games: Sequence[dict], role: str
+) -> tuple[TrainingCorpus, list[GameRecord]]:
+    """The training corpus and the per-game records of one role, from games
+    parsed by ``parse_trajectory_jsonl``. Games containing any intervention
+    are dropped. The corpus has one row per monitored turn of the role,
+    labeled with the game's outcome; game ids are positions in the log."""
     corpus = TrainingCorpus()
     records = []
-    for index, game in enumerate(parse_trajectory_jsonl(Path(path).read_text())):
+    for index, game in enumerate(games):
         if any(t.get("intervention") for t in game["turns"]):
             continue
         label = game["outcome"] == "success"
-        features = []
-        for turn in game["turns"]:
-            if turn["role"] == role and turn["features"] is not None:
-                fv = FeatureVector.from_json_obj(turn["features"])
-                features.append(fv)
-                corpus.rows.append(
-                    CorpusRow(features=fv, game_id=str(index), role=role, label=float(label))
-                )
-        records.append(GameRecord(features=tuple(features), label=label, game_id=str(index)))
+        features = tuple(
+            FeatureVector.from_json_obj(t["features"])
+            for t in game["turns"]
+            if t["role"] == role and t["features"] is not None
+        )
+        corpus.rows.extend(
+            CorpusRow(features=fv, game_id=str(index), role=role, label=float(label))
+            for fv in features
+        )
+        records.append(GameRecord(features=features, label=label, game_id=str(index)))
     return corpus, records
 
 
@@ -705,8 +599,10 @@ def train_monitor_from_logs(
     """Build the corpus from intervention-free logs and grid-search the
     monitor. Raises InsufficientDataError when one outcome class is absent
     (a monitor cannot be trained where no game ever succeeds or fails)."""
-    corpus, _ = _records_from_jsonl(train_path, role)
-    _, validation_records = _records_from_jsonl(validation_path, role)
+    corpus, _ = records_from_games(parse_trajectory_jsonl(Path(train_path).read_text()), role)
+    _, validation_records = records_from_games(
+        parse_trajectory_jsonl(Path(validation_path).read_text()), role
+    )
     labels = {row.label for row in corpus.rows}
     if labels != {0.0, 1.0}:
         raise InsufficientDataError(
@@ -730,10 +626,7 @@ def summarize(reports: Sequence[dict]) -> tuple[str, str]:
     if len(kinds) > 1:
         raise ValueError(f"refusing to mix environment kinds: {sorted(kinds)}")
     env = reports[0]["env"]
-    if env == "whodunit":
-        columns = ["success_rate", "precision", "avg_length"]
-    else:
-        columns = ["survival_time", "survival_rate", "efficiency"]
+    columns = WHODUNIT_METRICS if env == "whodunit" else COMMONS_METRICS
 
     header = ["run", "games", "invalid"] + [f"{c} (mean±se)" for c in columns]
     if env == "commons":

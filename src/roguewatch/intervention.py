@@ -68,16 +68,9 @@ def evaluate_trigger(
     probability: float, tau: float, budget: TriggerBudget, role: str
 ) -> bool:
     """True iff the success estimate is strictly below tau and the role has
-    budget left; consumes one unit of budget when true."""
+    budget left; consumes one unit of budget when true. The one gate for
+    fitted and random monitors alike."""
     if probability < tau and budget.remaining(role) > 0:
-        budget.used[role] = budget.used.get(role, 0) + 1
-        return True
-    return False
-
-
-def evaluate_random_trigger(fired: bool, budget: TriggerBudget, role: str) -> bool:
-    """Budget gate for the random-baseline monitor."""
-    if fired and budget.remaining(role) > 0:
         budget.used[role] = budget.used.get(role, 0) + 1
         return True
     return False

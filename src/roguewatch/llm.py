@@ -44,18 +44,6 @@ class LlmConfig:
     timeout: float = 60.0
     max_concurrent: int = 4
 
-    def to_json_obj(self) -> dict:
-        return {
-            "endpoint": self.endpoint,
-            "model": self.model,
-            "api_key_env": self.api_key_env,
-            "temperature": self.temperature,
-            "top_logprobs": self.top_logprobs,
-            "retry_budget": self.retry_budget,
-            "timeout": self.timeout,
-            "max_concurrent": self.max_concurrent,
-        }
-
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LlmConfig":
         return cls(**obj)

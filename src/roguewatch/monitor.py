@@ -206,36 +206,16 @@ def fit_monitor(
     )
 
 
-def game_triggers(model: MonitorModel, tau: float, game: GameRecord) -> bool:
-    """Whether any monitored turn of the game falls below tau."""
-    return any(model.predict_success(fv) < tau for fv in game.features)
-
-
-def validation_gain(
-    model: MonitorModel, tau: float, games: Sequence[GameRecord]
-) -> float:
-    """Net correctly-vs-falsely triggered game percentage.
-
-    A failed game counts for the monitor when any of its turns triggers; a
-    successful game counts against it when any turn triggers.
-    """
-    if not games:
-        return 0.0
-    true_triggers = 0
-    false_triggers = 0
-    for game in games:
-        if game_triggers(model, tau, game):
-            if game.label:
-                false_triggers += 1
-            else:
-                true_triggers += 1
-    return 100.0 * (true_triggers - false_triggers) / len(games)
-
-
 def _best_threshold(
     model: MonitorModel, validation: Sequence[GameRecord], taus: Sequence[float]
 ) -> MonitorModel:
-    """Attach the gain-maximizing tau (lowest tau wins ties)."""
+    """Attach the gain-maximizing tau (lowest tau wins ties).
+
+    A game triggers when any of its monitored turns scores below tau. The
+    gain is the net correctly-vs-falsely triggered game percentage: a
+    failed game counts for the monitor when it triggers, a successful game
+    against it.
+    """
     minima = [
         min((model.predict_success(fv) for fv in game.features), default=math.inf)
         for game in validation
@@ -294,16 +274,21 @@ def grid_search(
 
 
 class RandomMonitor:
-    """Baseline that triggers i.i.d. with probability p on monitored turns."""
+    """Baseline that triggers i.i.d. with probability p on monitored turns.
+
+    Its score is a fresh uniform draw that ignores the features, and its
+    tau is p, so ``predict_success(features) < tau`` holds with probability
+    p and the same budget gate serves it and fitted monitors.
+    """
 
     def __init__(self, p: float, seed: int) -> None:
         if not 0.0 <= p <= 1.0:
             raise ValueError("p must be in [0, 1]")
-        self.p = p
+        self.tau = p
         self._rng = random.Random(seed)
 
-    def should_trigger(self) -> bool:
-        return self._rng.random() < self.p
+    def predict_success(self, features: Optional[FeatureVector]) -> float:
+        return self._rng.random()
 
 
 def expected_random_gain(p: float, games: Sequence[GameRecord]) -> float:

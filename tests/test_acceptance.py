@@ -14,19 +14,17 @@ import pytest
 from roguewatch.commons import (
     CommonsConfig,
     CommonsState,
-    SustainableHarvester,
     commons_metrics,
     harvest_phase,
     regrow,
-    run_commons_game,
 )
-from roguewatch.core import Outcome, derive_seed, generate_game
+from roguewatch.core import Outcome, derive_seed, generate_game, parse_trajectory_jsonl
 from roguewatch.harness import (
     COMMONS_TEST_R0,
     ExperimentConfig,
-    corpus_from_trajectories,
-    game_records_from_trajectories,
     gen_dataset,
+    records_from_games,
+    run_commons_trial,
     run_whodunit_game,
 )
 from roguewatch.intervention import InterventionKind, InterventionPolicy
@@ -86,8 +84,12 @@ def learnability():
 
     train = run_split("train", manifest.train, plain)
     validation = run_split("validation", manifest.validation, plain)
-    corpus = corpus_from_trajectories(train, "accuser")
-    records = game_records_from_trajectories(validation, "accuser")
+    corpus, _ = records_from_games(
+        parse_trajectory_jsonl("".join(t.to_jsonl() for t in train)), "accuser"
+    )
+    _, records = records_from_games(
+        parse_trajectory_jsonl("".join(t.to_jsonl() for t in validation)), "accuser"
+    )
     model = grid_search(corpus, records, role="accuser")
 
     test_plain = run_split("test", manifest.test, plain)
@@ -145,7 +147,13 @@ def test_criterion_2_commons_formula_suite():
     # The canonical sustainable case: c = 12 * 100 / 2 = 600, efficiency 1.
     config = CommonsConfig(r0=100.0, gamma=5.0, m=12, n_agents=4)
     assert config.sustainable_total == 600.0
-    state = run_commons_game(config, [SustainableHarvester(f"p{i}", 4) for i in range(4)], seed=0)
+    sustainable = ExperimentConfig(
+        env="commons",
+        commons_gamma=config.gamma,
+        commons_m=config.m,
+        commons_policies=("sustainable",) * config.n_agents,
+    )
+    state, _, _ = run_commons_trial(config.r0, sustainable, game_seed=0)
     metrics = commons_metrics(state.history, config)
     assert metrics.efficiency == pytest.approx(1.0, abs=1e-12)
     assert metrics.survival_time == 12 and metrics.survival_rate
@@ -314,7 +322,7 @@ def test_criterion_7_random_baseline_calibration():
     turns = 10_000
     for index, p in enumerate((0.05, 0.3, 0.9)):
         monitor = RandomMonitor(p, seed=derive_seed(99, "rm", index))
-        rate = sum(monitor.should_trigger() for _ in range(turns)) / turns
+        rate = sum(monitor.predict_success(None) < monitor.tau for _ in range(turns)) / turns
         bound = binomial_bound_99(p, turns)
         assert abs(rate - p) <= bound, f"p={p}: rate {rate:.4f} outside ±{bound:.4f}"
     passline(7, "empirical trigger rates within 99% binomial bounds for p=0.05/0.3/0.9")

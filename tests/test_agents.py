@@ -350,8 +350,6 @@ class TestRogue:
 
 
 def test_decide_dispatch():
-    from roguewatch.agents import decide
-
     spec = generate_game("asymmetric", 3, 31, seed=1)
     state = new_game(spec)
     obs = AgentObservation(
@@ -362,5 +360,5 @@ def test_decide_dispatch():
         role="accuser",
         n_suspects=3,
     )
-    decision = decide(ScriptedAccuser(), obs)
+    decision = ScriptedAccuser().decide(obs)
     assert decision.action.prime is MessageKind.REQUEST_SPECIFIC

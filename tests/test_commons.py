@@ -10,19 +10,29 @@ import pytest
 from roguewatch.commons import (
     CommonsConfig,
     CommonsState,
-    GreedyHarvester,
-    SustainableHarvester,
     commons_metrics,
     harvest_phase,
     post_discussion,
     regrow,
-    run_commons_game,
 )
 from roguewatch.errors import NegativeRequestError
+from roguewatch.harness import ExperimentConfig, run_commons_trial
 
 
 def fresh(r0=100.0, n=2) -> CommonsState:
     return CommonsState.fresh(CommonsConfig(r0=r0, n_agents=n))
+
+
+def play(config: CommonsConfig, kinds, seed: int) -> CommonsState:
+    """All m rounds of the scripted harvest policies ``kinds``."""
+    experiment = ExperimentConfig(
+        env="commons",
+        commons_gamma=config.gamma,
+        commons_m=config.m,
+        commons_policies=tuple(kinds),
+    )
+    state, _, _ = run_commons_trial(config.r0, experiment, game_seed=seed)
+    return state
 
 
 class TestHarvest:
@@ -92,8 +102,7 @@ class TestRegrow:
 class TestMetrics:
     def test_sustainable_is_fully_efficient(self):
         config = CommonsConfig(r0=100.0, n_agents=4)
-        policies = [SustainableHarvester(f"p{i}", 4) for i in range(4)]
-        state = run_commons_game(config, policies, seed=7)
+        state = play(config, ["sustainable"] * 4, seed=7)
         m = commons_metrics(state.history, config)
         assert m.total_harvest == pytest.approx(600.0)
         assert m.efficiency == pytest.approx(1.0, abs=1e-12)
@@ -102,8 +111,7 @@ class TestMetrics:
 
     def test_greedy_collapses_immediately(self):
         config = CommonsConfig(r0=100.0, n_agents=4)
-        policies = [GreedyHarvester(f"p{i}", 4) for i in range(4)]
-        state = run_commons_game(config, policies, seed=7)
+        state = play(config, ["greedy"] * 4, seed=7)
         m = commons_metrics(state.history, config)
         assert m.survival_time == 0
         assert m.survival_rate is False
@@ -135,9 +143,8 @@ class TestMetrics:
         for case in range(30):
             n = rng.choice([1, 2, 4])
             config = CommonsConfig(r0=float(rng.choice([100, 120, 210])), n_agents=n)
-            kinds = [rng.choice([SustainableHarvester, GreedyHarvester]) for _ in range(n)]
-            policies = [cls(f"p{i}", n) for i, cls in enumerate(kinds)]
-            state = run_commons_game(config, policies, seed=case)
+            kinds = [rng.choice(["sustainable", "greedy"]) for _ in range(n)]
+            state = play(config, kinds, seed=case)
             m = commons_metrics(state.history, config)
 
             total = Fraction(0)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import random
 
 import pytest
@@ -64,7 +65,7 @@ class TestGenerateGame:
         a = generate_game("asymmetric", 10, 31, seed=42)
         b = generate_game("asymmetric", 10, 31, seed=42)
         assert a == b
-        assert a.to_json() == b.to_json()
+        assert a.to_json_obj() == b.to_json_obj()
 
     def test_different_seeds_differ(self):
         a = generate_game("asymmetric", 10, 31, seed=1)
@@ -89,7 +90,7 @@ class TestGenerateGame:
 
     def test_json_roundtrip(self):
         spec = generate_game("symmetric", 5, 20, seed=77)
-        assert GameSpec.from_json(spec.to_json()) == spec
+        assert GameSpec.from_json_obj(json.loads(json.dumps(spec.to_json_obj()))) == spec
 
 
 class TestChannel:

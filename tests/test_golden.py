@@ -1,0 +1,127 @@
+"""Golden replay: a (config, manifest, seed) triple writes the same bytes.
+
+The sha256 digests of trajectories.jsonl and report.json are pinned for
+small fixed configs that need no fitted model, so a refactor that changes a
+single byte of either file, or the order of any random draw, fails here.
+The determinism tests in test_harness.py only compare two runs of the same
+code; these digests compare against earlier code.
+"""
+
+from __future__ import annotations
+
+import hashlib
+
+import pytest
+
+from roguewatch.harness import ExperimentConfig, gen_dataset, run_experiment
+
+ROGUE = {"type": "rogue", "epsilon": 0.3}
+MIXED_ROGUE = {
+    "type": "rogue",
+    "epsilon": 0.3,
+    "behaviors": {
+        "hallucinate-fact": 0.4,
+        "wrong-accusation": 0.2,
+        "repeat-query": 0.2,
+        "drop-known-fact": 0.2,
+    },
+}
+
+
+def asymmetric_manifest():
+    return gen_dataset("whodunit", sizes=(0, 0, 12), seed=5, n_suspects=6)
+
+
+def symmetric_manifest():
+    return gen_dataset("whodunit", sizes=(0, 0, 8), seed=5, variant="symmetric")
+
+
+def commons_manifest():
+    return gen_dataset("commons", seed=2)
+
+
+# name -> (manifest factory, split, config, trajectories sha256, report sha256)
+GOLDEN = {
+    "scripted-pair": (
+        asymmetric_manifest,
+        "test",
+        {"agents": {}, "repetitions": 2},
+        "85f320096b5257cf6f9ac8626e522f6324cb68c1155b03ad8ee2c48eb75dfbc4",
+        "2096c70a7d7b0ef9065ab388aa8725653c91d5fb29d741697284d4cf6206b75f",
+    ),
+    "rogue-accuser": (
+        asymmetric_manifest,
+        "test",
+        {"agents": {"accuser": MIXED_ROGUE}, "base_seed": 3},
+        "c0e8167f2f39d2246d0e36871f104cee0ee885ef622bdbe7a6ce83f523afcc3f",
+        "64f0acd100c3c6aa96e53e547d1cd062172a6515e2736103c45e158bc85d5b1c",
+    ),
+    "random-full-reset": (
+        asymmetric_manifest,
+        "test",
+        {
+            "agents": {"accuser": ROGUE},
+            "monitor": {"source": "random", "p": 0.2},
+            "intervention": {"kind": "full-reset", "cap": 1},
+            "repetitions": 2,
+        },
+        "81c4f185653bd745932f85ba356a73e81e266a2a1e6915c5287990b67a2c5d94",
+        "adb1413d66a9f04df9399d714fc771f140b6dad68014caedbdd398e850bcee6e",
+    ),
+    "random-resample": (
+        asymmetric_manifest,
+        "test",
+        {
+            "agents": {
+                "accuser": ROGUE,
+                "intel": {"type": "scripted", "broad_for_specific": False},
+            },
+            "monitor": {"source": "random", "p": 0.3},
+            "intervention": {"kind": "resample", "cap": 2},
+            "repetitions": 2,
+        },
+        "0a0b240527e7a567475cd75d1dc3ef082e5d8d6b95e76761f549ed1fc7ef884c",
+        "cd3dcfb550b812bfe7d81313cb9d0dd77fde0906489733233981b0c5a2404d7a",
+    ),
+    "symmetric-random": (
+        symmetric_manifest,
+        "test",
+        {
+            "variant": "symmetric",
+            "agents": {"player": {"type": "rogue", "epsilon": 0.1}},
+            "monitor": {"source": "random", "p": 0.1},
+            "intervention": {"kind": "full-reset", "cap": 1},
+            "parallelism": 2,
+        },
+        "e9d8025600def764e25625fdfb415129104b10ce93b931ab54919a386309d389",
+        "44cbd4bc89df7fe4b7ed1673d0f906cb3d2724f53100992ad7b460850cc104de",
+    ),
+    "commons-round-reset": (
+        commons_manifest,
+        "test",
+        {
+            "env": "commons",
+            "monitor": {"source": "random", "p": 0.15},
+            "intervention": {"kind": "round-reset", "cap": 2},
+            "commons_policies": ["sustainable", "greedy", "sustainable", "sustainable"],
+        },
+        "310dc260328812833ba0acd1fb269b325c1e73d2da5a8319f09a136ece05a301",
+        "8cab720b82f9aed9a5ac2452bcd0491a04ed61b7eccfeb1f658ad959c3b52e7b",
+    ),
+}
+
+
+def digests(name: str, out_dir) -> tuple[str, str]:
+    manifest_factory, split, config_obj, _, _ = GOLDEN[name]
+    config = ExperimentConfig.from_json_obj(config_obj)
+    run_experiment(config, manifest_factory(), split=split, output_dir=out_dir)
+    return tuple(
+        hashlib.sha256((out_dir / file).read_bytes()).hexdigest()
+        for file in ("trajectories.jsonl", "report.json")
+    )
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_golden_replay(name, tmp_path):
+    *_, trajectories_sha, report_sha = GOLDEN[name]
+    assert digests(name, tmp_path) == (trajectories_sha, report_sha)

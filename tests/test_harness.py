@@ -3,31 +3,38 @@
 from __future__ import annotations
 
 import json
+import urllib.error
 
 import pytest
 
+from roguewatch import harness, llm
 from roguewatch.cli import main as cli_main
-from roguewatch.core import parse_trajectory_jsonl
-from roguewatch.errors import InsufficientDataError
+from roguewatch.core import Outcome, Trajectory, TurnRecord, generate_game, parse_trajectory_jsonl
+from roguewatch.errors import ApiError, InsufficientDataError
 from roguewatch.harness import (
     COMMONS_TEST_R0,
     ExperimentConfig,
     SplitManifest,
-    corpus_from_trajectories,
-    game_records_from_trajectories,
     gen_dataset,
+    records_from_games,
     run_experiment,
     run_whodunit_game,
     summarize,
     train_monitor_from_logs,
 )
 from roguewatch.intervention import InterventionKind, InterventionPolicy
+from roguewatch.uncertainty import FeatureVector
 
 
 def small_manifest(train=6, val=3, test=4, suspects=5) -> SplitManifest:
     return gen_dataset(
         "whodunit", sizes=(train, val, test), seed=11, n_suspects=suspects, turn_limit=31
     )
+
+
+def parsed(trajectories) -> list[dict]:
+    """Games as ``train_monitor_from_logs`` sees them: written, then parsed."""
+    return parse_trajectory_jsonl("".join(t.to_jsonl() for t in trajectories))
 
 
 def scripted_config(**overrides) -> ExperimentConfig:
@@ -167,14 +174,71 @@ class TestTraining:
             run_whodunit_game(spec, config, game_seed=i)
             for i, spec in enumerate(manifest.train)
         ]
-        corpus = corpus_from_trajectories(trajectories, role="accuser")
+        corpus, records = records_from_games(parsed(trajectories), role="accuser")
         by_game = {}
         for row in corpus.rows:
             by_game.setdefault(row.game_id, set()).add(row.label)
         # Per-turn rows share their game's label.
         assert all(len(labels) == 1 for labels in by_game.values())
-        records = game_records_from_trajectories(trajectories, role="accuser")
         assert len(records) == len(trajectories)
+
+    def test_records_from_games(self):
+        spec = generate_game("asymmetric", 4, 31, seed=3)
+
+        def fv(entropy: float, turn: int) -> dict:
+            return FeatureVector(entropy, 0.0, 1.0, turn).to_json_obj()
+
+        def game(outcome: Outcome, turns: list[tuple]) -> Trajectory:
+            trajectory = Trajectory(game=spec, outcome=outcome)
+            for dialog, (role, features, intervention) in enumerate(turns, start=1):
+                trajectory.turns.append(
+                    TurnRecord(
+                        turn_index=dialog,
+                        dialog_index=dialog,
+                        agent_id=role,
+                        role=role,
+                        action={"kind": "skip"},
+                        features=features,
+                        trigger_fired=intervention is not None,
+                        intervention=intervention,
+                    )
+                )
+            return trajectory
+
+        games = parsed(
+            [
+                game(
+                    Outcome.SUCCESS,
+                    [("accuser", fv(0.1, 1), None), ("intel", fv(0.2, 2), None)],
+                ),
+                game(Outcome.TIMEOUT, [("accuser", fv(0.3, 1), "full-reset")]),
+                game(
+                    Outcome.WRONG_ACCUSATION,
+                    [
+                        ("accuser", fv(0.4, 1), None),
+                        ("accuser", None, None),
+                        ("accuser", fv(0.5, 3), None),
+                    ],
+                ),
+                game(
+                    Outcome.TIMEOUT,
+                    [("accuser", fv(0.6, 1), None), ("intel", fv(0.7, 2), "resample")],
+                ),
+            ]
+        )
+        corpus, records = records_from_games(games, "accuser")
+        # Games with any intervention are dropped; ids are log positions.
+        assert [r.game_id for r in records] == ["0", "2"]
+        assert [r.label for r in records] == [True, False]
+        assert [[f.max_entropy for f in r.features] for r in records] == [[0.1], [0.4, 0.5]]
+        # One row per monitored turn of the role, labeled with its game's outcome.
+        assert [(row.game_id, row.label) for row in corpus.rows] == [
+            ("0", 1.0),
+            ("2", 0.0),
+            ("2", 0.0),
+        ]
+        assert [row.features.max_entropy for row in corpus.rows] == [0.1, 0.4, 0.5]
+        assert {row.role for row in corpus.rows} == {"accuser"}
 
     def test_train_monitor_from_logs(self, tmp_path):
         manifest = small_manifest(30, 12, 2)
@@ -216,6 +280,44 @@ class TestTraining:
         worst = json.loads((tmp_path / "ablation" / "accuser_worst.json").read_text())
         assert second["validation_gain"] <= best.validation_gain
         assert worst["validation_gain"] <= second["validation_gain"]
+
+
+class TestZeroValidGames:
+    """A run whose every game dies still writes a report."""
+
+    def test_whodunit_endpoint_down(self, tmp_path, monkeypatch):
+        def refuse(config, payload):
+            raise urllib.error.URLError("connection refused")
+
+        monkeypatch.setattr(llm, "_http_transport", refuse)
+        llm_spec = {
+            "type": "llm",
+            "config": {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "retry_budget": 0},
+        }
+        config = scripted_config(agents={"accuser": llm_spec, "intel": llm_spec})
+        report = run_experiment(config, small_manifest(1, 1, 2), split="test", output_dir=tmp_path)
+        assert report["games"] == 2 and report["invalid"] == 2
+        assert set(report["mean"].values()) == {None}
+        assert set(report["stderr"].values()) == {None}
+        assert json.loads((tmp_path / "report.json").read_text()) == report
+        assert (tmp_path / "trajectories.jsonl").read_text() == ""
+        text, _ = summarize([report])
+        assert "success_rate" in text
+
+    def test_commons_every_trial_fails(self, tmp_path, monkeypatch):
+        def fail(r0, config, game_seed, monitors=None):
+            raise ApiError("endpoint down")
+
+        monkeypatch.setattr(harness, "run_commons_trial", fail)
+        manifest = gen_dataset("commons", seed=1)
+        report = run_experiment(
+            ExperimentConfig(env="commons", repetitions=2), manifest, split="validation",
+            output_dir=tmp_path,
+        )
+        assert report["invalid"] == 2 * report["games"] == 14
+        assert report["repetitions"] == [dict.fromkeys(harness.COMMONS_METRICS)] * 2
+        assert set(report["mean"].values()) == {None}
+        assert (tmp_path / "report.json").exists()
 
 
 class TestMonitoredRuns:
@@ -305,8 +407,8 @@ class TestMonitoredRuns:
                 for i, s in enumerate(manifest.validation)
             ]
             model = grid_search(
-                corpus_from_trajectories(train, "accuser"),
-                game_records_from_trajectories(validation, "accuser"),
+                records_from_games(parsed(train), "accuser")[0],
+                records_from_games(parsed(validation), "accuser")[1],
                 role="accuser",
             )
             assert model.validation_gain > 0

@@ -13,14 +13,13 @@ from roguewatch.monitor import (
     MonitorModel,
     RandomMonitor,
     TrainingCorpus,
+    _best_threshold,
     all_feature_masks,
     calibrate_random_monitor,
     expected_random_gain,
     fit_monitor,
-    game_triggers,
     grid_search,
     grid_search_ranked,
-    validation_gain,
 )
 from roguewatch.uncertainty import FeatureVector
 
@@ -124,14 +123,14 @@ class TestGain:
         for _ in range(5):  # successful games that stay quiet
             games.append(GameRecord(features=(fv(entropy=0.0, turn=2),), label=True))
         tau = 0.5
-        assert validation_gain(model, tau, games) == pytest.approx(
+        assert _best_threshold(model, games, (tau,)).validation_gain == pytest.approx(
             100.0 * (3 - 1) / 10
         )
 
     def test_tau_zero_never_triggers(self):
         model = self.make_model()
         games = [GameRecord(features=(fv(entropy=1.0, turn=1),), label=False)]
-        assert validation_gain(model, 0.0, games) == 0.0
+        assert _best_threshold(model, games, (0.0,)).validation_gain == 0.0
 
     def test_perfect_monitor_gain_equals_failed_fraction(self):
         model = self.make_model()
@@ -141,7 +140,7 @@ class TestGain:
             GameRecord(features=(fv(entropy=0.0, turn=2),), label=True),
             GameRecord(features=(fv(entropy=0.0, turn=2),), label=True),
         ]
-        assert validation_gain(model, 0.5, games) == pytest.approx(50.0)
+        assert _best_threshold(model, games, (0.5,)).validation_gain == pytest.approx(50.0)
 
     def test_trigger_sets_nested_in_tau(self):
         model = self.make_model()
@@ -157,7 +156,12 @@ class TestGain:
         ]
         previous: set[int] = set()
         for tau in [0.0, 0.2, 0.4, 0.6, 0.8, 1.0]:
-            current = {i for i, g in enumerate(games) if game_triggers(model, tau, g)}
+            # A lone game's gain is nonzero exactly when it triggers.
+            current = {
+                i
+                for i, g in enumerate(games)
+                if _best_threshold(model, [g], (tau,)).validation_gain != 0.0
+            }
             assert previous <= current
             previous = current
 
@@ -247,13 +251,13 @@ class TestRandomMonitor:
     def test_extremes(self):
         never = RandomMonitor(0.0, seed=1)
         always = RandomMonitor(1.0, seed=1)
-        assert not any(never.should_trigger() for _ in range(100))
-        assert all(always.should_trigger() for _ in range(100))
+        assert not any(never.predict_success(None) < never.tau for _ in range(100))
+        assert all(always.predict_success(None) < always.tau for _ in range(100))
 
     def test_trigger_fraction(self):
         monitor = RandomMonitor(0.1, seed=5)
         n = 10_000
-        hits = sum(monitor.should_trigger() for _ in range(n))
+        hits = sum(monitor.predict_success(None) < monitor.tau for _ in range(n))
         assert abs(hits / n - 0.1) < 0.01
 
     def test_calibration_prefers_triggering_when_failures_dominate(self):
