@@ -59,24 +59,30 @@ def distribution_with_entropy(target: float, size: int = 10) -> tuple[float, ...
     entropy (nats): probability p on the first entry, the rest uniform.
 
     Entropy runs monotonically from 0 (p=1) to ln(size) (p=1/size), so the
-    target is found by bisection.
+    target is found by bisection of at most 80 steps. Once a step leaves
+    (lo, hi) unchanged every later step would too, so the loop stops there
+    (after about 54 steps) with the same bits as the full 80.
     """
     max_h = math.log(size)
     if not 0.0 <= target <= max_h + 1e-12:
         raise ValueError(f"entropy target {target} outside [0, ln {size}]")
 
-    def h(p: float) -> float:
-        if p >= 1.0:
-            return 0.0
-        rest = (1.0 - p) / (size - 1)
-        return -p * math.log(p) - (1.0 - p) * math.log(rest)
-
+    log = math.log
     lo, hi = 1.0 / size, 1.0  # h(lo)=ln(size), h(hi)=0
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        if h(mid) > target:
+        # h(mid), the entropy of the two-level distribution with p = mid
+        if mid >= 1.0:
+            h = 0.0
+        else:
+            h = -mid * log(mid) - (1.0 - mid) * log((1.0 - mid) / (size - 1))
+        if h > target:
+            if lo == mid:
+                break
             lo = mid
         else:
+            if hi == mid:
+                break
             hi = mid
     p = (lo + hi) / 2.0
     rest = (1.0 - p) / (size - 1)
@@ -348,11 +354,13 @@ class RogueAgent:
 
     hallucinate-fact flips one believed culprit fact (the outward queries
     then use the wrong value, exactly the failure mode of an agent that
-    misremembers the target description) and marks the agent poisoned;
-    poisoned accusations are redirected to the lowest-id non-culprit so a
-    corrupted game can never succeed by luck. wrong-accusation ends the
-    game immediately on a random non-culprit. repeat-query re-issues the
-    previous request. drop-known-fact re-asks something already answered.
+    misremembers the target description; the intel holds no such beliefs,
+    so for it only the corrupt-band annotation remains) and marks the agent
+    poisoned; poisoned accusations are redirected to the lowest-id
+    non-culprit so a corrupted game can never succeed by luck.
+    wrong-accusation ends the game immediately on a random non-culprit.
+    repeat-query re-issues the previous request. drop-known-fact re-asks
+    something already answered.
     """
 
     def __init__(
@@ -391,7 +399,11 @@ class RogueAgent:
         return self.rng.choice(ids)
 
     def _flip_belief(self, obs: AgentObservation) -> None:
-        overrides = self.base.belief_overrides
+        """Flip the first not-yet-flipped culprit fact; a no-op for a base
+        that holds no beliefs about the culprit (the intel)."""
+        overrides = getattr(self.base, "belief_overrides", None)
+        if overrides is None:
+            return
         for prop, value in obs.knowledge.culprit_facts:
             if prop in overrides:
                 continue

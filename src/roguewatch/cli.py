@@ -100,7 +100,10 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--manifest", required=True)
     run.add_argument("--split", choices=["train", "validation", "test"], default="test")
     run.add_argument("--seed", type=int, default=None, help="override base seed")
-    run.add_argument("--parallelism", type=int, default=None)
+    run.add_argument(
+        "--parallelism", type=int, default=None,
+        help="worker threads, used only when a role has an llm backend",
+    )
     run.add_argument("--out", required=True, help="output directory")
     run.set_defaults(func=_cmd_run)
 

@@ -174,12 +174,11 @@ class GameSpec:
         schema = AttributeSchema(
             tuple((name, tuple(values)) for name, values in obj["schema"])
         )
+        names = schema.names
         suspects = tuple(
             SuspectProfile(
                 suspect_id=entry["id"],
-                assignment=tuple(
-                    (name, entry["assignment"][name]) for name in schema.names
-                ),
+                assignment=tuple((name, entry["assignment"][name]) for name in names),
             )
             for entry in obj["suspects"]
         )

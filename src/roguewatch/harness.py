@@ -83,6 +83,7 @@ logger = logging.getLogger("roguewatch.harness")
 
 Monitor = MonitorModel | RandomMonitor
 
+BACKEND_TYPES = frozenset({"scripted", "rogue", "llm"})
 COMMONS_TRAIN_POOL = tuple(105 + 5 * k for k in range(20))
 COMMONS_TEST_R0 = (100,) + tuple(range(210, 301, 5))
 
@@ -467,8 +468,14 @@ def run_experiment(
     """Run every game of a split ``repetitions`` times with derived seeds.
 
     Returns the report dict; optionally writes trajectories.jsonl and
-    report.json under output_dir. Games that die with an ApiError are
-    excluded from metrics and counted as invalid.
+    report.json under output_dir. A game that raises is logged, excluded
+    from metrics and counted as invalid; the other games still count.
+
+    Games run on ``parallelism`` threads only when some role is played by
+    an ``llm`` backend, whose games wait on the network. Every other
+    backend computes in Python, where threads only contend for the
+    interpreter lock, so those games run in the calling thread. Results
+    are kept in game order either way, so the output bytes are the same.
     """
     kind = config.intervention.kind
     if config.env == "whodunit" and kind is InterventionKind.ROUND_RESET:
@@ -481,6 +488,11 @@ def run_experiment(
             for role, path in config.monitor["paths"].items()
         }
     games = manifest.split(split)
+    kinds = {spec.get("type", "scripted") for spec in config.agents.values()}
+    if config.env == "whodunit" and not kinds <= BACKEND_TYPES:
+        # A config error, not a bad game: refuse it before any game runs.
+        raise ValueError(f"unknown backend type(s) {sorted(kinds - BACKEND_TYPES)}")
+    threaded = config.parallelism > 1 and "llm" in kinds
     jsonl_chunks: list[str] = []
     per_rep: list[dict] = []
     histogram: dict[int, int] = {}
@@ -497,9 +509,14 @@ def run_experiment(
             except ApiError as exc:
                 logger.warning("game %s aborted: %s", index, exc)
                 return None
+            except Exception as exc:
+                logger.warning(
+                    "game %s failed with %s: %s", index, type(exc).__name__, exc, exc_info=True
+                )
+                return None
 
         items = list(enumerate(games))
-        if config.parallelism > 1:
+        if threaded:
             with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
                 results = list(pool.map(one, items))
         else:

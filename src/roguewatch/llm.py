@@ -9,6 +9,7 @@ urllib. API keys are only ever read from a named environment variable.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -165,6 +166,7 @@ def extract_positions(
     return vectors
 
 
+@functools.lru_cache(maxsize=8)  # the package ships five templates
 def _load_prompt(name: str) -> str:
     return resources.files("roguewatch.prompts").joinpath(name).read_text()
 

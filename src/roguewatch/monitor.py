@@ -11,6 +11,7 @@ validation gain. The turn count is always part of the input.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -72,11 +73,15 @@ def _raw_inputs(fv: FeatureVector, mask: Sequence[str]) -> list[float]:
     return [by_name[name] for name in mask] + [float(fv.turn_index)]
 
 
-def _monomials(n_inputs: int, degree: int) -> list[tuple[int, ...]]:
+@functools.lru_cache(maxsize=64)
+def _monomials(n_inputs: int, degree: int) -> tuple[tuple[int, ...], ...]:
+    """Exponent table of every monomial up to ``degree``, intercept first.
+    Cached because per-turn scoring asks for it on every call; the grid
+    uses 15 (inputs, degree) pairs."""
     terms: list[tuple[int, ...]] = []
     for d in range(degree + 1):
         terms.extend(itertools.combinations_with_replacement(range(n_inputs), d))
-    return terms
+    return tuple(terms)
 
 
 @dataclass(frozen=True)

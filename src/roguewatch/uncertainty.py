@@ -33,17 +33,29 @@ def _check_distribution(p: Sequence[float]) -> None:
         raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
 
 
+def _statistics(p: Sequence[float]) -> tuple[float, float, Optional[float]]:
+    """Check ``p`` once and return its entropy, varentropy and kurtosis,
+    the kurtosis being None where the varentropy is degenerate. The public
+    statistics and the feature pooling all compute through here."""
+    _check_distribution(p)
+    log = math.log
+    h = -math.fsum(x * log(x) for x in p if x > 0.0)
+    deviations = [(x, -log(x) - h) for x in p if x > 0.0]
+    var = math.fsum(x * d ** 2 for x, d in deviations)
+    if var < DEGENERATE_VARENTROPY:
+        return h, var, None
+    fourth = math.fsum(x * d ** 4 for x, d in deviations)
+    return h, var, fourth / (var * var)
+
+
 def entropy(p: Sequence[float]) -> float:
     """Shannon entropy in nats, with 0 * ln 0 = 0."""
-    _check_distribution(p)
-    return -math.fsum(x * math.log(x) for x in p if x > 0.0)
+    return _statistics(p)[0]
 
 
 def varentropy(p: Sequence[float]) -> float:
     """Variance of the surprisal -ln p under p. Always non-negative."""
-    _check_distribution(p)
-    h = -math.fsum(x * math.log(x) for x in p if x > 0.0)
-    return math.fsum(x * (-math.log(x) - h) ** 2 for x in p if x > 0.0)
+    return _statistics(p)[1]
 
 
 def kurtosis(p: Sequence[float]) -> float:
@@ -53,13 +65,10 @@ def kurtosis(p: Sequence[float]) -> float:
     surprisals equal, e.g. a one-hot or uniform vector); callers substitute
     a configured fallback.
     """
-    _check_distribution(p)
-    h = -math.fsum(x * math.log(x) for x in p if x > 0.0)
-    var = math.fsum(x * (-math.log(x) - h) ** 2 for x in p if x > 0.0)
-    if var < DEGENERATE_VARENTROPY:
+    value = _statistics(p)[2]
+    if value is None:
         raise DegenerateDistributionError("zero varentropy")
-    fourth = math.fsum(x * (-math.log(x) - h) ** 4 for x in p if x > 0.0)
-    return fourth / (var * var)
+    return value
 
 
 @dataclass(frozen=True)
@@ -110,12 +119,10 @@ def extract_features(
     varentropies = []
     kurtoses = []
     for p in positions:
-        entropies.append(entropy(p))
-        varentropies.append(varentropy(p))
-        try:
-            kurtoses.append(kurtosis(p))
-        except DegenerateDistributionError:
-            kurtoses.append(kurtosis_fallback)
+        h, var, kurt = _statistics(p)
+        entropies.append(h)
+        varentropies.append(var)
+        kurtoses.append(kurtosis_fallback if kurt is None else kurt)
     return FeatureVector(
         max_entropy=max(entropies),
         max_varentropy=max(varentropies),

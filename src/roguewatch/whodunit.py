@@ -8,6 +8,7 @@ below are load-bearing and covered by tests.
 
 from __future__ import annotations
 
+import functools
 import random
 import re
 from dataclasses import dataclass
@@ -417,7 +418,15 @@ def whodunit_metrics(trajectories: Sequence) -> WhodunitMetrics:
 
 
 # Parsers for the rendered wire format, used by scripted agents (which only
-# ever see the rendered channel).
+# ever see the rendered channel and re-parse all of it every turn).
+
+# Distinct lines the parse cache keeps. Every turn re-parses the game's
+# whole channel, so a game needs only its few dozen lines cached; request
+# lines also recur across games, while broad answers mostly belong to one
+# game. On the 480 asymmetric games of the CLI walkthrough (17,525 parses
+# of 1,723 distinct lines) this size misses 1,756 times, against 1,723 for
+# an unbounded cache, and costs under a megabyte of memory.
+PARSE_CACHE_SIZE = 1024
 
 _RE_REQUEST_SPECIFIC = re.compile(
     r"^Agent (?P<name>.+) has requested information: "
@@ -442,10 +451,13 @@ _RE_ACCUSE = re.compile(r"^The winner is (?P<target>\d+)\.$")
 _RE_SKIP = re.compile(r"^Player (?P<name>.+) has decided to skip their turn\.$")
 
 
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_rendered(text: str) -> Optional[dict]:
     """Parse one rendered channel line back into (kind, fields).
 
-    Returns None for free-form lines (discussion, system notices).
+    Returns None for free-form lines (discussion, system notices). Results
+    are memoized per line, so the same dict is handed to every caller of
+    the same line: callers must treat it as read-only.
     """
     m = _RE_REQUEST_SPECIFIC.match(text)
     if m:

@@ -348,6 +348,26 @@ class TestRogue:
                 assert trajectory.outcome is Outcome.SUCCESS
         assert failures > 5
 
+    def test_hallucinating_intel_keeps_its_answers(self):
+        # The intel holds no culprit beliefs: a hallucinate-fact turn leaves
+        # its answer as the truthful base gives it but still carries a
+        # corrupt-band annotation.
+        spec = generate_game("asymmetric", 6, 31, seed=3)
+        state = new_game(spec)
+        step(state, AsymAction(MessageKind.REQUEST_SPECIFIC, target=2, prop="hat", value="brown"))
+        obs = AgentObservation(
+            knowledge=state.knowledge["Alex"],
+            channel_view=tuple(state.channel.rendered()),
+            turn_index=state.turn_index,
+            turn_limit=spec.turn_limit,
+            role="intel",
+            n_suspects=len(spec.suspects),
+        )
+        rogue = RogueAgent(RogueProfile(epsilon=1.0), ScriptedIntel, spec, seed=5)
+        decision = rogue.decide(obs)
+        assert decision.action == ScriptedIntel().decide(obs).action
+        assert entropy(decision.positions[0]) >= rogue.profile.corrupt_band[0] - 1e-9
+
 
 def test_decide_dispatch():
     spec = generate_game("asymmetric", 3, 31, seed=1)

@@ -320,6 +320,102 @@ class TestZeroValidGames:
         assert (tmp_path / "report.json").exists()
 
 
+class TestDegrade:
+    """A game that fails for any reason becomes an invalid game."""
+
+    def test_rogue_intel_runs_end_to_end(self, tmp_path):
+        config = ExperimentConfig.from_json_obj(
+            {"agents": {"intel": {"type": "rogue", "epsilon": 0.2}}}
+        )
+        manifest = gen_dataset("whodunit", sizes=(0, 0, 20), seed=3)
+        report = run_experiment(config, manifest, split="test", output_dir=tmp_path)
+        assert report["invalid"] == 0
+        games = parse_trajectory_jsonl((tmp_path / "trajectories.jsonl").read_text())
+        intel_entropies = [
+            t["features"]["entropy"] for g in games for t in g["turns"] if t["role"] == "intel"
+        ]
+        assert any(h >= 0.8 for h in intel_entropies)  # corrupted turns were drawn
+        # A truthful intel that only annotates uncertainty loses no game.
+        assert report["mean"]["success_rate"] == 100.0
+
+    def test_unknown_backend_type_still_raises(self):
+        config = scripted_config(agents={"accuser": {"type": "rouge", "epsilon": 0.2}})
+        with pytest.raises(ValueError, match="rouge"):
+            run_experiment(config, small_manifest(1, 1, 2), split="test")
+
+    def test_one_crashing_game_becomes_invalid(self, tmp_path, monkeypatch, caplog):
+        manifest = small_manifest(1, 1, 4)
+        config = scripted_config()
+        run_experiment(config, manifest, split="test", output_dir=tmp_path / "clean")
+        bad = manifest.test[1]
+
+        class Crashing:
+            def decide(self, obs):
+                raise RuntimeError("backend bug")
+
+            def reset(self):
+                pass
+
+        build = harness.build_whodunit_backends
+
+        def build_with_crash(state, agent_specs, spec, game_seed):
+            backends = build(state, agent_specs, spec, game_seed)
+            if spec is bad:
+                backends[state.order[0]] = Crashing()
+            return backends
+
+        monkeypatch.setattr(harness, "build_whodunit_backends", build_with_crash)
+        with caplog.at_level("WARNING", logger="roguewatch.harness"):
+            report = run_experiment(config, manifest, split="test", output_dir=tmp_path / "bad")
+        assert report["games"] == 4 and report["invalid"] == 1
+        assert "RuntimeError" in caplog.text
+        clean = parse_trajectory_jsonl((tmp_path / "clean" / "trajectories.jsonl").read_text())
+        kept = parse_trajectory_jsonl((tmp_path / "bad" / "trajectories.jsonl").read_text())
+        assert kept == clean[:1] + clean[2:]
+        assert sorted(report) == sorted(
+            json.loads((tmp_path / "clean" / "report.json").read_text())
+        )
+
+
+class TestWorkerPool:
+    """Threads only for backends that wait on the network."""
+
+    @pytest.fixture
+    def pools(self, monkeypatch):
+        created = []
+        real = harness.ThreadPoolExecutor
+
+        def record(max_workers):
+            created.append(max_workers)
+            return real(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", record)
+        return created
+
+    def test_cpu_bound_backends_run_in_the_calling_thread(self, pools):
+        config = scripted_config(
+            agents={"accuser": {"type": "rogue", "epsilon": 0.3}}, parallelism=2
+        )
+        run_experiment(config, small_manifest(1, 1, 3), split="test")
+        commons = ExperimentConfig(env="commons", parallelism=2)
+        run_experiment(commons, gen_dataset("commons", seed=0), split="validation")
+        assert pools == []
+
+    def test_llm_backends_get_the_pool(self, pools, monkeypatch):
+        def refuse(config, payload):
+            raise urllib.error.URLError("connection refused")
+
+        monkeypatch.setattr(llm, "_http_transport", refuse)
+        spec = {
+            "type": "llm",
+            "config": {"endpoint": "http://127.0.0.1:9/v1", "model": "m", "retry_budget": 0},
+        }
+        config = scripted_config(agents={"accuser": spec}, parallelism=2)
+        report = run_experiment(config, small_manifest(1, 1, 2), split="test")
+        assert pools == [2]
+        assert report["invalid"] == 2
+
+
 class TestMonitoredRuns:
     def handmade_monitor(self):
         # Prediction falls linearly with entropy: ~1.0 on clean turns,
