@@ -44,13 +44,11 @@ class AgentObservation:
     turn_limit: int
     role: str
     n_suspects: int
-    task: str = "whodunit"
 
 
 @dataclass
 class AgentDecision:
     action: object
-    generation_text: str = ""
     positions: tuple[tuple[float, ...], ...] = ()
 
 

@@ -59,15 +59,7 @@ from .intervention import (
     full_reset,
     round_reset,
 )
-from .monitor import (
-    CorpusRow,
-    GameRecord,
-    MonitorModel,
-    RandomMonitor,
-    TrainingCorpus,
-    grid_search,
-    grid_search_ranked,
-)
+from .monitor import GameRecord, MonitorModel, RandomMonitor, grid_search, grid_search_ranked
 from .uncertainty import FeatureVector, extract_features
 from .whodunit import (
     ROLE_ACCUSER,
@@ -580,14 +572,11 @@ def run_experiment(
     return report
 
 
-def records_from_games(
-    games: Sequence[dict], role: str
-) -> tuple[TrainingCorpus, list[GameRecord]]:
-    """The training corpus and the per-game records of one role, from games
-    parsed by ``parse_trajectory_jsonl``. Games containing any intervention
-    are dropped. The corpus has one row per monitored turn of the role,
-    labeled with the game's outcome; game ids are positions in the log."""
-    corpus = TrainingCorpus()
+def records_from_games(games: Sequence[dict], role: str) -> list[GameRecord]:
+    """The per-game records of one role, from games parsed by
+    ``parse_trajectory_jsonl``: the features of the role's monitored turns
+    and the game's outcome. Games containing any intervention are dropped;
+    game ids are positions in the log."""
     records = []
     for index, game in enumerate(games):
         if any(t.get("intervention") for t in game["turns"]):
@@ -598,12 +587,8 @@ def records_from_games(
             for t in game["turns"]
             if t["role"] == role and t["features"] is not None
         )
-        corpus.rows.extend(
-            CorpusRow(features=fv, game_id=str(index), role=role, label=float(label))
-            for fv in features
-        )
         records.append(GameRecord(features=features, label=label, game_id=str(index)))
-    return corpus, records
+    return records
 
 
 def train_monitor_from_logs(
@@ -613,26 +598,27 @@ def train_monitor_from_logs(
     alpha: float = 1.0,
     export_ablation: Optional[Path] = None,
 ) -> MonitorModel:
-    """Build the corpus from intervention-free logs and grid-search the
+    """Build the records from intervention-free logs and grid-search the
     monitor. Raises InsufficientDataError when one outcome class is absent
-    (a monitor cannot be trained where no game ever succeeds or fails)."""
-    corpus, _ = records_from_games(parse_trajectory_jsonl(Path(train_path).read_text()), role)
-    _, validation_records = records_from_games(
+    among the training games with a monitored turn (a monitor cannot be
+    trained where no game ever succeeds or fails)."""
+    train = records_from_games(parse_trajectory_jsonl(Path(train_path).read_text()), role)
+    validation = records_from_games(
         parse_trajectory_jsonl(Path(validation_path).read_text()), role
     )
-    labels = {row.label for row in corpus.rows}
+    labels = {float(game.label) for game in train if game.features}
     if labels != {0.0, 1.0}:
         raise InsufficientDataError(
             f"training corpus for {role!r} has labels {sorted(labels)}; need both classes"
         )
     if export_ablation is not None:
-        ranked = grid_search_ranked(corpus, validation_records, alpha=alpha, role=role)
+        ranked = grid_search_ranked(train, validation, alpha=alpha, role=role)
         export_ablation = Path(export_ablation)
         export_ablation.mkdir(parents=True, exist_ok=True)
         (export_ablation / f"{role}_second_best.json").write_text(ranked[1].to_json())
         (export_ablation / f"{role}_worst.json").write_text(ranked[-1].to_json())
         return ranked[0]
-    return grid_search(corpus, validation_records, alpha=alpha, role=role)
+    return grid_search(train, validation, alpha=alpha, role=role)
 
 
 def summarize(reports: Sequence[dict]) -> tuple[str, str]:

@@ -15,7 +15,6 @@ import logging
 import math
 import os
 import re
-import threading
 import urllib.error
 import urllib.request
 from dataclasses import dataclass
@@ -43,7 +42,6 @@ class LlmConfig:
     top_logprobs: int = 10
     retry_budget: int = 2
     timeout: float = 60.0
-    max_concurrent: int = 4
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LlmConfig":
@@ -73,7 +71,6 @@ class LlmClient:
     ) -> None:
         self.config = config
         self._transport = transport or _http_transport
-        self._gate = threading.Semaphore(config.max_concurrent)
 
     def complete_with_logprobs(
         self,
@@ -95,8 +92,7 @@ class LlmClient:
         last_error: Optional[Exception] = None
         for attempt in range(self.config.retry_budget + 1):
             try:
-                with self._gate:
-                    raw = self._transport(self.config, payload)
+                raw = self._transport(self.config, payload)
                 return _parse_completion(raw)
             except (urllib.error.URLError, OSError, KeyError, ValueError) as exc:
                 last_error = exc
@@ -372,9 +368,7 @@ class LlmAgent:
             )
             action = self._parse(text)  # second failure propagates
         positions = extract_positions(text, per_token, tokens, env_kind="whodunit")
-        return AgentDecision(
-            action=action, generation_text=text, positions=tuple(positions)
-        )
+        return AgentDecision(action=action, positions=tuple(positions))
 
     def resample(self, obs, temperature: Optional[float] = None):
         """Re-invocation after a discarded decision, optionally at a raised

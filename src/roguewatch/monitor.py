@@ -15,9 +15,10 @@ import functools
 import itertools
 import json
 import math
+import operator
 import random
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -40,37 +41,20 @@ def all_feature_masks() -> tuple[tuple[str, ...], ...]:
 
 
 @dataclass(frozen=True)
-class CorpusRow:
-    features: FeatureVector
-    game_id: str
-    role: str
-    label: float
-
-
-@dataclass
-class TrainingCorpus:
-    rows: list[CorpusRow] = field(default_factory=list)
-
-    def labels(self) -> list[float]:
-        return [r.label for r in self.rows]
-
-
-@dataclass(frozen=True)
 class GameRecord:
-    """One validation/test game: its monitored-turn features and outcome."""
+    """One game of a role: its monitored-turn features and outcome. Training
+    rows are the turns of such games, each labeled with its game's outcome."""
 
     features: tuple[FeatureVector, ...]
     label: bool
     game_id: str = ""
 
 
-def _raw_inputs(fv: FeatureVector, mask: Sequence[str]) -> list[float]:
-    by_name = {
-        "entropy": fv.max_entropy,
-        "varentropy": fv.max_varentropy,
-        "kurtosis": fv.max_kurtosis,
-    }
-    return [by_name[name] for name in mask] + [float(fv.turn_index)]
+@functools.lru_cache(maxsize=None)
+def _inputs(mask: tuple[str, ...]) -> Callable[[FeatureVector], tuple]:
+    """Reads a turn's raw monitor inputs: the masked statistics, then the
+    turn index."""
+    return operator.attrgetter(*(f"max_{name}" for name in mask), "turn_index")
 
 
 @functools.lru_cache(maxsize=64)
@@ -82,6 +66,32 @@ def _monomials(n_inputs: int, degree: int) -> tuple[tuple[int, ...], ...]:
     for d in range(degree + 1):
         terms.extend(itertools.combinations_with_replacement(range(n_inputs), d))
     return tuple(terms)
+
+
+def design_matrix(
+    raw: np.ndarray, bounds: Sequence[tuple[float, float]], degree: int
+) -> np.ndarray:
+    """Min-max scale each column of ``raw`` to [-1, 1] by its (lo, hi)
+    bounds (a constant column scales to 0; values outside the bounds
+    extrapolate) and expand the rows into every monomial up to ``degree``,
+    in ``_monomials`` order."""
+    lows, highs = np.array(bounds, dtype=float).T
+    spans = highs - lows
+    scaled = -1.0 + 2.0 * (raw - lows) / np.where(spans == 0.0, 1.0, spans)
+    scaled[:, spans == 0.0] = 0.0
+    terms = _monomials(raw.shape[1], degree)
+    design = np.ones((raw.shape[0], len(terms)))
+    for j, term in enumerate(terms):
+        for index in term:
+            design[:, j] *= scaled[:, index]
+    return design
+
+
+def _raw_table(games: Sequence[GameRecord], mask: tuple[str, ...]) -> np.ndarray:
+    """One row of raw inputs per turn of ``games``, in game order."""
+    read = _inputs(mask)
+    rows = [read(fv) for game in games for fv in game.features]
+    return np.array(rows, dtype=float).reshape(len(rows), len(mask) + 1)
 
 
 @dataclass(frozen=True)
@@ -97,18 +107,15 @@ class MonitorModel:
     tau: Optional[float] = None
     validation_gain: Optional[float] = None
 
-    def _normalize(self, raw: Sequence[float]) -> list[float]:
-        scaled = []
-        for x, (lo, hi) in zip(raw, self.normalization):
-            if hi == lo:
-                scaled.append(0.0)
-            else:
-                scaled.append(-1.0 + 2.0 * (x - lo) / (hi - lo))
-        return scaled
-
     def linear_output(self, features: FeatureVector) -> float:
-        """Unclamped ridge output; predict_success clamps this to [0, 1]."""
-        scaled = self._normalize(_raw_inputs(features, self.feature_mask))
+        """Unclamped ridge output; predict_success clamps this to [0, 1].
+        The scalar form of ``design_matrix`` for one turn: the game loop
+        scores turns one at a time, where a one-row numpy design costs
+        several times more."""
+        scaled = [
+            0.0 if hi == lo else -1.0 + 2.0 * (x - lo) / (hi - lo)
+            for x, (lo, hi) in zip(_inputs(self.feature_mask)(features), self.normalization)
+        ]
         total = 0.0
         for weight, term in zip(self.weights, _monomials(len(scaled), self.degree)):
             value = weight
@@ -119,17 +126,6 @@ class MonitorModel:
 
     def predict_success(self, features: FeatureVector) -> float:
         return min(1.0, max(0.0, self.linear_output(features)))
-
-    def with_threshold(self, tau: float, validation_gain: float) -> "MonitorModel":
-        return MonitorModel(
-            role=self.role,
-            feature_mask=self.feature_mask,
-            degree=self.degree,
-            normalization=self.normalization,
-            weights=self.weights,
-            tau=tau,
-            validation_gain=validation_gain,
-        )
 
     def to_json_obj(self) -> dict:
         return {
@@ -163,42 +159,28 @@ class MonitorModel:
 
 
 def fit_monitor(
-    corpus: TrainingCorpus,
+    train: Sequence[GameRecord],
     feature_mask: Sequence[str],
     degree: int,
     alpha: float = DEFAULT_ALPHA,
     role: str = "",
 ) -> MonitorModel:
-    """Fit one (mask, degree) cell on the corpus. No threshold yet."""
-    if not corpus.rows:
-        raise InsufficientDataError("empty training corpus")
+    """Fit one (mask, degree) cell on the turns of the training games. No
+    threshold yet."""
+    mask = tuple(feature_mask)
+    raw = _raw_table(train, mask)
+    if not raw.shape[0]:
+        raise InsufficientDataError("no monitored turns in the training games")
     if degree not in DEGREES:
         raise ValueError(f"degree must be in {DEGREES}")
-    mask = tuple(feature_mask)
-
-    raw = np.array(
-        [_raw_inputs(row.features, mask) for row in corpus.rows], dtype=float
-    )
-    lows = raw.min(axis=0)
-    highs = raw.max(axis=0)
-    spans = highs - lows
-    safe = np.where(spans == 0.0, 1.0, spans)
-    scaled = -1.0 + 2.0 * (raw - lows) / safe
-    scaled[:, spans == 0.0] = 0.0
-
-    terms = _monomials(raw.shape[1], degree)
-    design = np.empty((raw.shape[0], len(terms)))
-    for j, term in enumerate(terms):
-        column = np.ones(raw.shape[0])
-        for index in term:
-            column = column * scaled[:, index]
-        design[:, j] = column
-
-    y = np.array(corpus.labels(), dtype=float)
-    penalty = np.eye(len(terms)) * alpha
+    bounds = tuple((float(lo), float(hi)) for lo, hi in zip(raw.min(axis=0), raw.max(axis=0)))
+    design = design_matrix(raw, bounds, degree)
+    y = np.array([float(game.label) for game in train for _ in game.features])
+    n_terms = design.shape[1]
+    penalty = np.eye(n_terms) * alpha
     penalty[0, 0] = 0.0  # the intercept term () comes first and is unpenalized
     gram = design.T @ design + penalty
-    if alpha == 0.0 and np.linalg.matrix_rank(design) < len(terms):
+    if alpha == 0.0 and np.linalg.matrix_rank(design) < n_terms:
         raise SingularSystemError("rank-deficient design with alpha=0")
     weights = np.linalg.solve(gram, design.T @ y)
 
@@ -206,7 +188,7 @@ def fit_monitor(
         role=role,
         feature_mask=mask,
         degree=degree,
-        normalization=tuple((float(lo), float(hi)) for lo, hi in zip(lows, highs)),
+        normalization=bounds,
         weights=tuple(float(w) for w in weights),
     )
 
@@ -214,30 +196,30 @@ def fit_monitor(
 def _best_threshold(
     model: MonitorModel, validation: Sequence[GameRecord], taus: Sequence[float]
 ) -> MonitorModel:
-    """Attach the gain-maximizing tau (lowest tau wins ties).
+    """Attach the gain-maximizing tau (the first best in ``taus`` wins, so
+    the lowest tau of a sorted grid wins ties).
 
     A game triggers when any of its monitored turns scores below tau. The
     gain is the net correctly-vs-falsely triggered game percentage: a
     failed game counts for the monitor when it triggers, a successful game
     against it.
     """
-    minima = [
-        min((model.predict_success(fv) for fv in game.features), default=math.inf)
-        for game in validation
-    ]
-    labels = [game.label for game in validation]
-    best_tau, best_gain = taus[0], -math.inf
-    for tau in taus:
-        true_triggers = sum(1 for m, label in zip(minima, labels) if m < tau and not label)
-        false_triggers = sum(1 for m, label in zip(minima, labels) if m < tau and label)
-        gain = 100.0 * (true_triggers - false_triggers) / len(validation)
-        if gain > best_gain:
-            best_tau, best_gain = tau, gain
-    return model.with_threshold(best_tau, best_gain)
+    design = design_matrix(
+        _raw_table(validation, model.feature_mask), model.normalization, model.degree
+    )
+    scores = np.clip(design @ np.array(model.weights), 0.0, 1.0)
+    counts = np.array([len(game.features) for game in validation])
+    played = counts > 0
+    minima = np.full(len(validation), math.inf)
+    minima[played] = np.minimum.reduceat(scores, (np.cumsum(counts) - counts)[played])
+    signs = np.array([-1 if game.label else 1 for game in validation])
+    net = (minima < np.array(taus)[:, None]) @ signs
+    best = int(np.argmax(net))
+    return replace(model, tau=taus[best], validation_gain=100.0 * int(net[best]) / len(validation))
 
 
 def grid_search_ranked(
-    train: TrainingCorpus,
+    train: Sequence[GameRecord],
     validation: Sequence[GameRecord],
     alpha: float = DEFAULT_ALPHA,
     role: str = "",
@@ -247,7 +229,7 @@ def grid_search_ranked(
     validation gain. Ties break toward lower degree, fewer features, lower
     tau, and finally the fixed mask order, so the ranking is deterministic.
     """
-    if not train.rows or not validation:
+    if not any(game.features for game in train) or not validation:
         raise InsufficientDataError("need non-empty train and validation sets")
     candidates: list[MonitorModel] = []
     for degree in DEGREES:
@@ -268,7 +250,7 @@ def grid_search_ranked(
 
 
 def grid_search(
-    train: TrainingCorpus,
+    train: Sequence[GameRecord],
     validation: Sequence[GameRecord],
     alpha: float = DEFAULT_ALPHA,
     role: str = "",

@@ -84,10 +84,10 @@ def learnability():
 
     train = run_split("train", manifest.train, plain)
     validation = run_split("validation", manifest.validation, plain)
-    corpus, _ = records_from_games(
+    corpus = records_from_games(
         parse_trajectory_jsonl("".join(t.to_jsonl() for t in train)), "accuser"
     )
-    _, records = records_from_games(
+    records = records_from_games(
         parse_trajectory_jsonl("".join(t.to_jsonl() for t in validation)), "accuser"
     )
     model = grid_search(corpus, records, role="accuser")

@@ -1,7 +1,9 @@
-"""The cheaper game loop computes exactly what the plain one did.
+"""The cheaper game loop and the batch tau search compute exactly what the
+plain code did.
 
-Each optimized routine is checked bit for bit against a reference copy of
-the straightforward code it replaced, kept here for that purpose.
+Each optimized routine is checked against a reference copy of the
+straightforward code it replaced, kept here for that purpose: bit for bit,
+or for the batch monitor scores, within rounding.
 """
 
 from __future__ import annotations
@@ -9,13 +11,24 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 
 from roguewatch.agents import CLEAN_BAND, CORRUPT_BAND, distribution_with_entropy
 from roguewatch.errors import DegenerateDistributionError
 from roguewatch.harness import ExperimentConfig, gen_dataset, run_experiment
+from roguewatch.monitor import (
+    DEFAULT_TAUS,
+    DEGREES,
+    GameRecord,
+    _best_threshold,
+    all_feature_masks,
+    design_matrix,
+    fit_monitor,
+)
 from roguewatch.uncertainty import (
     DEGENERATE_VARENTROPY,
+    FeatureVector,
     entropy,
     extract_features,
     kurtosis,
@@ -158,3 +171,92 @@ def test_rogue_symmetric_same_bytes_at_parallelism_1_and_2(tmp_path):
         run_experiment(config, manifest, split="test", output_dir=out)
         outputs.append((out / "trajectories.jsonl").read_bytes())
     assert outputs[0] == outputs[1] and outputs[0]
+
+
+def reference_gains(model, games, taus) -> list[float]:
+    """The scalar tau sweep: each game's minimum ``predict_success``, then
+    a count of triggered games for every tau."""
+    minima = [
+        min((model.predict_success(fv) for fv in game.features), default=math.inf)
+        for game in games
+    ]
+    gains = []
+    for tau in taus:
+        true_triggers = sum(1 for m, g in zip(minima, games) if m < tau and not g.label)
+        false_triggers = sum(1 for m, g in zip(minima, games) if m < tau and g.label)
+        gains.append(100.0 * (true_triggers - false_triggers) / len(games))
+    return gains
+
+
+def seeded_games(rng: random.Random, n: int, p_success: float = 0.5) -> list[GameRecord]:
+    """Games of 0-5 turns whose entropy runs higher when they fail."""
+    games = []
+    for index in range(n):
+        label = rng.random() < p_success
+        top = 1.0 if label else 2.3
+        features = tuple(
+            FeatureVector(
+                rng.uniform(0.0, top), rng.uniform(0.0, top / 2), rng.uniform(1.0, 9.0), turn
+            )
+            for turn in range(1, rng.randint(0, 5) + 1)
+        )
+        games.append(GameRecord(features=features, label=label, game_id=str(index)))
+    return games
+
+
+def monitor_cells():
+    """Every grid cell fitted on seeded games, plus one with a constant
+    input column (every training turn has the same turn index)."""
+    rng = random.Random(41)
+    train = seeded_games(rng, 60)
+    models = [
+        fit_monitor(train, mask, degree) for degree in DEGREES for mask in all_feature_masks()
+    ]
+    flat = [
+        GameRecord(features=(FeatureVector(rng.uniform(0.0, 2.3), 0.5, 3.0, 4),), label=i % 2 == 0)
+        for i in range(20)
+    ]
+    models.append(fit_monitor(flat, ("entropy",), 3))
+    assert models[-1].normalization[-1] == (4.0, 4.0)
+    return models
+
+
+def test_batch_tau_search_matches_scalar_sweep():
+    rng = random.Random(42)
+    mixed = seeded_games(rng, 50)
+    # Games with no turns: some among the others, and one last.
+    mixed.append(GameRecord(features=(), label=False, game_id="empty"))
+    assert any(not game.features for game in mixed[:-1])
+    all_success = seeded_games(rng, 12, p_success=1.0)
+    assert all(game.label for game in all_success)
+    no_turns = [GameRecord(features=(), label=label) for label in (False, True, False)]
+    # The fine grid has runs of equal gain; the last grid repeats its taus
+    # and is not sorted, so only "the first best tau wins" picks among them.
+    grids = (DEFAULT_TAUS, (0.0, 0.5, 1.0), (0.6, 0.3, 0.6, 0.3, 0.9))
+    ties = 0
+    for model in monitor_cells():
+        for games in (mixed, all_success, no_turns):
+            for taus in grids:
+                gains = reference_gains(model, games, taus)
+                best = gains.index(max(gains))
+                chosen = _best_threshold(model, games, taus)
+                assert (chosen.tau, chosen.validation_gain) == (taus[best], gains[best])
+                ties += gains.count(gains[best]) > 1
+    assert ties
+
+
+def test_design_matrix_matches_linear_output():
+    # Probes in and a little outside the training range, where the
+    # outputs stay of order one and rounding stays far below 1e-12.
+    rng = random.Random(43)
+    probes = [
+        FeatureVector(rng.uniform(-0.2, 2.5), rng.uniform(0.0, 1.3), rng.uniform(0.5, 9.5), t)
+        for t in range(1, 7)
+        for _ in range(10)
+    ]
+    for model in monitor_cells():
+        names = [f"max_{name}" for name in model.feature_mask] + ["turn_index"]
+        raw = np.array([[getattr(fv, name) for name in names] for fv in probes], dtype=float)
+        batch = design_matrix(raw, model.normalization, model.degree) @ np.array(model.weights)
+        for value, fv in zip(batch, probes):
+            assert abs(value - model.linear_output(fv)) <= 1e-12

@@ -3,6 +3,8 @@
 The sha256 digests of trajectories.jsonl and report.json are pinned for
 small fixed configs that need no fitted model, so a refactor that changes a
 single byte of either file, or the order of any random draw, fails here.
+The JSON of every ranked monitor fitted on a small rogue-accuser corpus is
+pinned the same way.
 The determinism tests in test_harness.py only compare two runs of the same
 code; these digests compare against earlier code.
 """
@@ -13,7 +15,14 @@ import hashlib
 
 import pytest
 
-from roguewatch.harness import ExperimentConfig, gen_dataset, run_experiment
+from roguewatch.core import parse_trajectory_jsonl
+from roguewatch.harness import (
+    ExperimentConfig,
+    gen_dataset,
+    records_from_games,
+    run_experiment,
+)
+from roguewatch.monitor import grid_search_ranked
 
 ROGUE = {"type": "rogue", "epsilon": 0.3}
 MIXED_ROGUE = {
@@ -125,3 +134,23 @@ def digests(name: str, out_dir) -> tuple[str, str]:
 def test_golden_replay(name, tmp_path):
     *_, trajectories_sha, report_sha = GOLDEN[name]
     assert digests(name, tmp_path) == (trajectories_sha, report_sha)
+
+
+# sha256 of the concatenated ``to_json()`` of all 35 ranked monitors.
+RANKED_GRID_SHA = "63e0b1511a1627c4cf4058440dd70fa08d12a38311072a23b2d4709e5eb03411"
+
+
+def test_golden_ranked_grid(tmp_path):
+    manifest = gen_dataset("whodunit", sizes=(24, 12, 0), seed=5, n_suspects=6)
+    config = ExperimentConfig.from_json_obj(
+        {"agents": {"accuser": {"type": "rogue", "epsilon": 0.35}}, "base_seed": 3}
+    )
+    records = []
+    for split in ("train", "validation"):
+        run_experiment(config, manifest, split=split, output_dir=tmp_path / split)
+        text = (tmp_path / split / "trajectories.jsonl").read_text()
+        records.append(records_from_games(parse_trajectory_jsonl(text), "accuser"))
+    ranked = grid_search_ranked(*records, role="accuser")
+    assert len(ranked) == 35
+    digest = hashlib.sha256("".join(m.to_json() for m in ranked).encode()).hexdigest()
+    assert digest == RANKED_GRID_SHA

@@ -174,37 +174,43 @@ class TestTraining:
             run_whodunit_game(spec, config, game_seed=i)
             for i, spec in enumerate(manifest.train)
         ]
-        corpus, records = records_from_games(parsed(trajectories), role="accuser")
+        records = records_from_games(parsed(trajectories), role="accuser")
         by_game = {}
-        for row in corpus.rows:
-            by_game.setdefault(row.game_id, set()).add(row.label)
-        # Per-turn rows share their game's label.
+        for game in records:
+            for _ in game.features:
+                by_game.setdefault(game.game_id, set()).add(game.label)
+        # Per-turn rows share their game's label, which is its outcome.
         assert all(len(labels) == 1 for labels in by_game.values())
         assert len(records) == len(trajectories)
+        assert [game.label for game in records] == [
+            t.outcome == Outcome.SUCCESS for t in trajectories
+        ]
+
+    @staticmethod
+    def fv(entropy: float, turn: int) -> dict:
+        return FeatureVector(entropy, 0.0, 1.0, turn).to_json_obj()
+
+    @staticmethod
+    def game(outcome: Outcome, turns: list[tuple]) -> Trajectory:
+        """A hand-built game of (role, features, intervention) turns."""
+        trajectory = Trajectory(game=generate_game("asymmetric", 4, 31, seed=3), outcome=outcome)
+        for dialog, (role, features, intervention) in enumerate(turns, start=1):
+            trajectory.turns.append(
+                TurnRecord(
+                    turn_index=dialog,
+                    dialog_index=dialog,
+                    agent_id=role,
+                    role=role,
+                    action={"kind": "skip"},
+                    features=features,
+                    trigger_fired=intervention is not None,
+                    intervention=intervention,
+                )
+            )
+        return trajectory
 
     def test_records_from_games(self):
-        spec = generate_game("asymmetric", 4, 31, seed=3)
-
-        def fv(entropy: float, turn: int) -> dict:
-            return FeatureVector(entropy, 0.0, 1.0, turn).to_json_obj()
-
-        def game(outcome: Outcome, turns: list[tuple]) -> Trajectory:
-            trajectory = Trajectory(game=spec, outcome=outcome)
-            for dialog, (role, features, intervention) in enumerate(turns, start=1):
-                trajectory.turns.append(
-                    TurnRecord(
-                        turn_index=dialog,
-                        dialog_index=dialog,
-                        agent_id=role,
-                        role=role,
-                        action={"kind": "skip"},
-                        features=features,
-                        trigger_fired=intervention is not None,
-                        intervention=intervention,
-                    )
-                )
-            return trajectory
-
+        fv, game = self.fv, self.game
         games = parsed(
             [
                 game(
@@ -226,19 +232,18 @@ class TestTraining:
                 ),
             ]
         )
-        corpus, records = records_from_games(games, "accuser")
+        records = records_from_games(games, "accuser")
         # Games with any intervention are dropped; ids are log positions.
         assert [r.game_id for r in records] == ["0", "2"]
         assert [r.label for r in records] == [True, False]
         assert [[f.max_entropy for f in r.features] for r in records] == [[0.1], [0.4, 0.5]]
-        # One row per monitored turn of the role, labeled with its game's outcome.
-        assert [(row.game_id, row.label) for row in corpus.rows] == [
+        # One training row per monitored turn of the role, labeled with its game's outcome.
+        assert [(r.game_id, float(r.label)) for r in records for _ in r.features] == [
             ("0", 1.0),
             ("2", 0.0),
             ("2", 0.0),
         ]
-        assert [row.features.max_entropy for row in corpus.rows] == [0.1, 0.4, 0.5]
-        assert {row.role for row in corpus.rows} == {"accuser"}
+        assert [f.max_entropy for r in records for f in r.features] == [0.1, 0.4, 0.5]
 
     def test_train_monitor_from_logs(self, tmp_path):
         manifest = small_manifest(30, 12, 2)
@@ -263,6 +268,26 @@ class TestTraining:
                 tmp_path / "train" / "trajectories.jsonl",
                 tmp_path / "val" / "trajectories.jsonl",
                 role="accuser",
+            )
+
+    def test_featureless_games_do_not_count_as_a_class(self, tmp_path):
+        # Every failed game lacks a monitored accuser turn, so the training
+        # rows are all successes however many games failed.
+        fv, game = self.fv, self.game
+        train = [
+            game(Outcome.SUCCESS, [("accuser", fv(0.1 * i, 1), None), ("intel", fv(0.9, 2), None)])
+            for i in range(4)
+        ]
+        train += [
+            game(Outcome.TIMEOUT, [("accuser", None, None), ("intel", fv(0.9, 2), None)]),
+            game(Outcome.WRONG_ACCUSATION, [("intel", fv(0.8, 1), None)]),
+        ]
+        validation = [game(Outcome.TIMEOUT, [("accuser", fv(0.5, 1), None)])]
+        for name, games in (("train", train), ("val", validation)):
+            (tmp_path / f"{name}.jsonl").write_text("".join(t.to_jsonl() for t in games))
+        with pytest.raises(InsufficientDataError):
+            train_monitor_from_logs(
+                tmp_path / "train.jsonl", tmp_path / "val.jsonl", role="accuser"
             )
 
     def test_ablation_export(self, tmp_path):
@@ -503,8 +528,8 @@ class TestMonitoredRuns:
                 for i, s in enumerate(manifest.validation)
             ]
             model = grid_search(
-                records_from_games(parsed(train), "accuser")[0],
-                records_from_games(parsed(validation), "accuser")[1],
+                records_from_games(parsed(train), "accuser"),
+                records_from_games(parsed(validation), "accuser"),
                 role="accuser",
             )
             assert model.validation_gain > 0

@@ -3,19 +3,20 @@
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
+import numpy as np
 import pytest
 
 from roguewatch.errors import InsufficientDataError, SingularSystemError
 from roguewatch.monitor import (
-    CorpusRow,
     GameRecord,
     MonitorModel,
     RandomMonitor,
-    TrainingCorpus,
     _best_threshold,
     all_feature_masks,
     calibrate_random_monitor,
+    design_matrix,
     expected_random_gain,
     fit_monitor,
     grid_search,
@@ -28,34 +29,31 @@ def fv(entropy=0.0, varentropy=0.0, kurtosis=0.0, turn=1) -> FeatureVector:
     return FeatureVector(entropy, varentropy, kurtosis, turn)
 
 
-def row(label, **kwargs) -> CorpusRow:
-    return CorpusRow(features=fv(**kwargs), game_id="g", role="accuser", label=label)
+def row(label, **kwargs) -> GameRecord:
+    """A one-turn training game."""
+    return GameRecord(features=(fv(**kwargs),), label=label, game_id="g")
 
 
-def line_corpus() -> TrainingCorpus:
+def line_corpus() -> list[GameRecord]:
     # Labels 0, 1, 2 on entropy 0, 1, 2: pins the exact least-squares line.
-    return TrainingCorpus(
-        rows=[
-            row(0.0, entropy=0.0, turn=1),
-            row(1.0, entropy=1.0, turn=1),
-            row(2.0, entropy=2.0, turn=1),
-        ]
-    )
+    return [
+        row(0.0, entropy=0.0, turn=1),
+        row(1.0, entropy=1.0, turn=1),
+        row(2.0, entropy=2.0, turn=1),
+    ]
 
 
 class TestFit:
     def test_monomial_count_degree_two(self):
-        corpus = TrainingCorpus(rows=[row(1.0, entropy=i, turn=i) for i in range(5)])
+        corpus = [row(1.0, entropy=i, turn=i) for i in range(5)]
         model = fit_monitor(corpus, ("entropy",), degree=2)
         assert len(model.weights) == 6  # 1, x, t, x^2, xt, t^2
 
     def test_constant_labels_predict_constant(self):
-        corpus = TrainingCorpus(
-            rows=[row(1.0, entropy=random.Random(0).random(), turn=i) for i in range(20)]
-        )
+        corpus = [row(1.0, entropy=random.Random(0).random(), turn=i) for i in range(20)]
         model = fit_monitor(corpus, ("entropy",), degree=1, alpha=1e-9)
-        for r in corpus.rows:
-            assert model.predict_success(r.features) == pytest.approx(1.0, abs=1e-6)
+        for r in corpus:
+            assert model.predict_success(r.features[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_exact_line_recovered_with_vanishing_alpha(self):
         model = fit_monitor(line_corpus(), ("entropy",), degree=1, alpha=1e-12)
@@ -65,34 +63,32 @@ class TestFit:
 
     def test_alpha_zero_singular_design_raises(self):
         # One distinct sample cannot support 3 monomials without penalty.
-        corpus = TrainingCorpus(rows=[row(1.0, entropy=0.5, turn=1)] * 3)
+        corpus = [row(1.0, entropy=0.5, turn=1)] * 3
         with pytest.raises(SingularSystemError):
             fit_monitor(corpus, ("entropy",), degree=1, alpha=0.0)
 
     def test_empty_corpus_raises(self):
         with pytest.raises(InsufficientDataError):
-            fit_monitor(TrainingCorpus(), ("entropy",), degree=1)
+            fit_monitor([], ("entropy",), degree=1)
 
     def test_shrinkage_to_label_mean(self):
         rng = random.Random(4)
         rows = [
             row(float(i % 2), entropy=rng.random(), turn=i % 7 + 1) for i in range(40)
         ]
-        corpus = TrainingCorpus(rows=rows)
-        model = fit_monitor(corpus, ("entropy",), degree=3, alpha=1e9)
+        model = fit_monitor(rows, ("entropy",), degree=3, alpha=1e9)
         mean_label = sum(r.label for r in rows) / len(rows)
         for r in rows[:5]:
-            assert model.linear_output(r.features) == pytest.approx(mean_label, abs=1e-3)
+            assert model.linear_output(r.features[0]) == pytest.approx(mean_label, abs=1e-3)
 
     def test_normalization_bounds_from_train_only(self):
-        corpus = TrainingCorpus(
-            rows=[row(0.0, entropy=0.0, turn=1), row(1.0, entropy=2.0, turn=9)]
-        )
+        corpus = [row(0.0, entropy=0.0, turn=1), row(1.0, entropy=2.0, turn=9)]
         model = fit_monitor(corpus, ("entropy",), degree=1)
         assert model.normalization[0] == (0.0, 2.0)
         assert model.normalization[1] == (1.0, 9.0)
         # Out-of-range inputs extrapolate linearly, no clamping inside.
-        scaled = model._normalize([4.0, 17.0])
+        # Degree-1 columns: the intercept, then each scaled input.
+        scaled = design_matrix(np.array([[4.0, 17.0]]), model.normalization, 1)[0, 1:]
         assert scaled[0] == pytest.approx(3.0)
         assert scaled[1] == pytest.approx(3.0)
 
@@ -107,9 +103,7 @@ class TestPredict:
 
 class TestGain:
     def make_model(self, tau=None):
-        corpus = TrainingCorpus(
-            rows=[row(0.0, entropy=1.0, turn=1), row(1.0, entropy=0.0, turn=2)]
-        )
+        corpus = [row(0.0, entropy=1.0, turn=1), row(1.0, entropy=0.0, turn=2)]
         return fit_monitor(corpus, ("entropy",), degree=1)
 
     def test_hand_counted_gain(self):
@@ -169,7 +163,6 @@ class TestGain:
 class TestGridSearch:
     def separable_data(self):
         rng = random.Random(7)
-        rows = []
         games = []
         for g in range(40):
             label = g % 2 == 0
@@ -178,11 +171,7 @@ class TestGridSearch:
                 h = rng.uniform(0.0, 0.2) if label else rng.uniform(0.8, 2.3)
                 features.append(fv(entropy=h, varentropy=h / 3, kurtosis=1.0, turn=turn))
             games.append(GameRecord(features=tuple(features), label=label, game_id=str(g)))
-            rows.extend(
-                CorpusRow(features=f, game_id=str(g), role="accuser", label=float(label))
-                for f in features
-            )
-        return TrainingCorpus(rows=rows), games
+        return games, games
 
     def test_separable_data_gets_positive_gain(self):
         corpus, games = self.separable_data()
@@ -225,13 +214,13 @@ class TestGridSearch:
 
 class TestSerialization:
     def test_roundtrip_preserves_predictions(self):
-        corpus = TrainingCorpus(
-            rows=[
-                row(float(i % 2), entropy=i * 0.37, varentropy=i * 0.11, kurtosis=1.0 + i, turn=i + 1)
-                for i in range(25)
-            ]
+        corpus = [
+            row(float(i % 2), entropy=i * 0.37, varentropy=i * 0.11, kurtosis=1.0 + i, turn=i + 1)
+            for i in range(25)
+        ]
+        model = replace(
+            fit_monitor(corpus, ("entropy", "kurtosis"), degree=3), tau=0.4, validation_gain=12.0
         )
-        model = fit_monitor(corpus, ("entropy", "kurtosis"), degree=3).with_threshold(0.4, 12.0)
         restored = MonitorModel.from_json(model.to_json())
         assert restored == model
         rng = random.Random(11)
