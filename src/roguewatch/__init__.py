@@ -21,7 +21,7 @@ from .core import (
     generate_game,
 )
 from .intervention import InterventionKind, InterventionPolicy, TriggerBudget
-from .monitor import MonitorModel, RandomMonitor, fit_monitor, grid_search
+from .monitor import MonitorModel, NormalSystem, RandomMonitor, fit_monitor, grid_search
 from .uncertainty import FeatureVector, entropy, extract_features, kurtosis, varentropy
 
 __version__ = "0.1.0"
@@ -35,6 +35,7 @@ __all__ = [
     "Message",
     "MessageKind",
     "MonitorModel",
+    "NormalSystem",
     "Outcome",
     "RandomMonitor",
     "Trajectory",

@@ -9,6 +9,7 @@ are derived with :func:`derive_seed`.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -85,7 +86,14 @@ def derive_seed(base: int, *parts: object) -> int:
 
 @dataclass(frozen=True)
 class AttributeSchema:
-    """Ordered attribute names, each with 2-3 possible values."""
+    """Ordered attribute names, each with 2-3 possible values.
+
+    Every suspect assignment of a schema is built from the schema's own
+    ``(name, value)`` pairs, one tuple object per attribute value, so the
+    thousands of profiles of a manifest share them instead of each holding
+    fresh copies. Obtain schemas through :meth:`for_variant` or
+    :meth:`of`, which hand out one instance per attribute table.
+    """
 
     attributes: tuple[tuple[str, tuple[str, ...]], ...]
 
@@ -97,25 +105,55 @@ class AttributeSchema:
             if len(set(values)) < 2:
                 raise ValueError(f"attribute {name!r} needs at least 2 distinct values")
 
-    @property
+    @functools.cached_property
     def names(self) -> tuple[str, ...]:
         return tuple(name for name, _ in self.attributes)
 
+    @functools.cached_property
+    def _values(self) -> dict[str, tuple[str, ...]]:
+        return dict(self.attributes)
+
+    @functools.cached_property
+    def pairs(self) -> tuple[tuple[tuple[str, str], ...], ...]:
+        """Per attribute, in schema order, one ``(name, value)`` pair per value."""
+        return tuple(
+            tuple((name, value) for value in values) for name, values in self.attributes
+        )
+
+    @functools.cached_property
+    def _pair_of(self) -> dict[str, dict[str, tuple[str, str]]]:
+        return {row[0][0]: {pair[1]: pair for pair in row} for row in self.pairs}
+
     def values_of(self, name: str) -> tuple[str, ...]:
-        for attr, values in self.attributes:
-            if attr == name:
-                return values
-        raise KeyError(name)
+        return self._values[name]
+
+    def assignment_of(self, values: dict[str, str]) -> tuple[tuple[str, str], ...]:
+        """The schema-ordered assignment of a name -> value mapping, built
+        from the shared pairs. Raises ValueError naming the attribute when
+        a value is missing or not in the schema."""
+        pair_of = self._pair_of
+        try:
+            return tuple(pair_of[name][values[name]] for name in self.names)
+        except KeyError:
+            name = next(n for n in self.names if values.get(n) not in pair_of[n])
+            raise ValueError(
+                f"attribute {name!r} has no value {values.get(name)!r} in the schema"
+            ) from None
 
     def combination_space(self) -> int:
         return math.prod(len(values) for _, values in self.attributes)
 
+    @staticmethod
+    @functools.lru_cache(maxsize=16)
+    def of(attributes: tuple[tuple[str, tuple[str, ...]], ...]) -> "AttributeSchema":
+        """The one schema instance of an attribute table."""
+        return AttributeSchema(attributes)
+
     @classmethod
     def for_variant(cls, variant: Variant | str) -> "AttributeSchema":
-        variant = Variant(variant)
-        if variant is Variant.ASYMMETRIC:
-            return cls(ATTRIBUTE_TABLE[:ASYMMETRIC_ATTRIBUTE_COUNT])
-        return cls(ATTRIBUTE_TABLE)
+        if Variant(variant) is Variant.ASYMMETRIC:
+            return cls.of(ATTRIBUTE_TABLE[:ASYMMETRIC_ATTRIBUTE_COUNT])
+        return cls.of(ATTRIBUTE_TABLE)
 
 
 @dataclass(frozen=True)
@@ -147,8 +185,7 @@ class GameSpec:
     seed: int
 
     def __post_init__(self) -> None:
-        vectors = [tuple(v for _, v in s.assignment) for s in self.suspects]
-        if len(vectors) != len(set(vectors)):
+        if len({s.assignment for s in self.suspects}) != len(self.suspects):
             raise ValueError("suspect assignments must be pairwise distinct")
         if not 1 <= self.culprit_id <= len(self.suspects):
             raise ValueError("culprit id out of range")
@@ -171,14 +208,12 @@ class GameSpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "GameSpec":
-        schema = AttributeSchema(
+        schema = AttributeSchema.of(
             tuple((name, tuple(values)) for name, values in obj["schema"])
         )
-        names = schema.names
         suspects = tuple(
             SuspectProfile(
-                suspect_id=entry["id"],
-                assignment=tuple((name, entry["assignment"][name]) for name in names),
+                suspect_id=entry["id"], assignment=schema.assignment_of(entry["assignment"])
             )
             for entry in obj["suspects"]
         )
@@ -216,7 +251,8 @@ def generate_game(
         )
 
     rng = random.Random(seed)
-    seen: set[tuple[str, ...]] = set()
+    rows = schema.pairs
+    seen: set[tuple[tuple[str, str], ...]] = set()
     suspects: list[SuspectProfile] = []
     attempts = 0
     max_attempts = 1000 * n_suspects + 10_000
@@ -224,18 +260,12 @@ def generate_game(
         attempts += 1
         if attempts > max_attempts:
             raise InfeasibleRequestError("rejection sampling did not converge")
-        vector = tuple(
-            values[rng.randrange(len(values))] for _, values in schema.attributes
-        )
-        if vector in seen:
+        # rng.choice(row) draws exactly what row[rng.randrange(len(row))] does.
+        assignment = tuple(rng.choice(row) for row in rows)
+        if assignment in seen:
             continue
-        seen.add(vector)
-        suspects.append(
-            SuspectProfile(
-                suspect_id=len(suspects) + 1,
-                assignment=tuple(zip(schema.names, vector)),
-            )
-        )
+        seen.add(assignment)
+        suspects.append(SuspectProfile(suspect_id=len(suspects) + 1, assignment=assignment))
     culprit_id = rng.randrange(n_suspects) + 1
     return GameSpec(
         schema=schema,
@@ -344,6 +374,11 @@ class TurnRecord:
         }
 
 
+# One trajectory JSONL line: the bytes of json.dumps(obj, sort_keys=True),
+# from one encoder rather than a new one per line.
+jsonl_line = json.JSONEncoder(sort_keys=True).encode
+
+
 @dataclass
 class Trajectory:
     """Per-turn records of one game plus the final outcome."""
@@ -359,16 +394,15 @@ class Trajectory:
         return self.turns[-1].dialog_index if self.turns else 0
 
     def to_jsonl(self) -> str:
-        lines = [json.dumps(t.to_json_obj(), sort_keys=True) for t in self.turns]
+        lines = [jsonl_line(t.to_json_obj()) for t in self.turns]
         lines.append(
-            json.dumps(
+            jsonl_line(
                 {
                     "outcome": self.outcome.value if self.outcome else None,
                     "accused": self.accused_id,
                     "length": self.length,
                     "game_seed": self.game.seed,
-                },
-                sort_keys=True,
+                }
             )
         )
         return "\n".join(lines) + "\n"

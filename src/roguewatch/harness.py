@@ -42,6 +42,7 @@ from .core import (
     TurnRecord,
     derive_seed,
     generate_game,
+    jsonl_line,
     parse_trajectory_jsonl,
 )
 from .errors import (
@@ -117,8 +118,7 @@ class SplitManifest:
 
 
 def _spec_key(spec: GameSpec) -> tuple:
-    profiles = tuple(tuple(v for _, v in s.assignment) for s in spec.suspects)
-    return profiles, spec.culprit_id
+    return tuple(s.assignment for s in spec.suspects), spec.culprit_id
 
 
 def gen_dataset(
@@ -531,16 +531,15 @@ def run_experiment(
                 if r is None:
                     continue
                 state, metrics, events = r
-                lines = [json.dumps(rec.to_json_obj(), sort_keys=True) for rec in state.history]
+                lines = [jsonl_line(rec.to_json_obj()) for rec in state.history]
                 lines.append(
-                    json.dumps(
+                    jsonl_line(
                         {
                             "outcome": "survived" if metrics.survival_rate else "collapsed",
                             "survival_time": metrics.survival_time,
                             "efficiency": metrics.efficiency,
                             "interventions": events,
-                        },
-                        sort_keys=True,
+                        }
                     )
                 )
                 jsonl_chunks.append("\n".join(lines) + "\n")

@@ -7,6 +7,12 @@ terms and intercept included), and fit ridge regression with an unpenalized
 intercept against the 0/1 game-success labels. The trigger threshold tau
 and the (feature subset, degree) cell are selected by exhaustive search on
 validation gain. The turn count is always part of the input.
+
+A grid search expands each split once, over every statistic at the top
+degree; each cell's normal equations and validation design are slices of
+that. Products, sums and the solve are elementwise numpy, with no BLAS or
+LAPACK call, so a fitted monitor's bytes do not depend on the BLAS thread
+count.
 """
 
 from __future__ import annotations
@@ -74,17 +80,19 @@ def design_matrix(
     """Min-max scale each column of ``raw`` to [-1, 1] by its (lo, hi)
     bounds (a constant column scales to 0; values outside the bounds
     extrapolate) and expand the rows into every monomial up to ``degree``,
-    in ``_monomials`` order."""
+    in ``_monomials`` order. The result is column-major: each monomial's
+    column is contiguous, and ``.T`` holds them as rows without a copy."""
     lows, highs = np.array(bounds, dtype=float).T
     spans = highs - lows
     scaled = -1.0 + 2.0 * (raw - lows) / np.where(spans == 0.0, 1.0, spans)
     scaled[:, spans == 0.0] = 0.0
+    scaled = np.ascontiguousarray(scaled.T)
     terms = _monomials(raw.shape[1], degree)
-    design = np.ones((raw.shape[0], len(terms)))
+    columns = np.ones((len(terms), raw.shape[0]))
     for j, term in enumerate(terms):
         for index in term:
-            design[:, j] *= scaled[:, index]
-    return design
+            columns[j] *= scaled[index]
+    return columns.T
 
 
 def _raw_table(games: Sequence[GameRecord], mask: tuple[str, ...]) -> np.ndarray:
@@ -158,62 +166,137 @@ class MonitorModel:
         return cls.from_json_obj(json.loads(text))
 
 
+# The inputs and degree of the one design a grid search builds per split.
+FULL_MASK = STATISTIC_NAMES
+TOP_DEGREE = DEGREES[-1]
+
+
+def _input_indices(mask: tuple[str, ...]) -> list[int]:
+    """Where a cell's inputs (its statistics, then the turn index) sit
+    among the full-mask inputs."""
+    return [FULL_MASK.index(name) for name in mask] + [len(FULL_MASK)]
+
+
+@functools.lru_cache(maxsize=None)
+def _columns(mask: tuple[str, ...], degree: int) -> np.ndarray:
+    """Where each monomial of a (mask, degree) cell sits among the
+    full-mask, top-degree monomials. For a mask in ``FULL_MASK`` order (as
+    every grid mask is) the cell's inputs keep their order among the full
+    inputs, so a cell term is the full term with the same factors
+    multiplied in the same order and its design column is the full column
+    bit for bit."""
+    inputs = _input_indices(mask)
+    full = {term: j for j, term in enumerate(_monomials(len(FULL_MASK) + 1, TOP_DEGREE))}
+    columns = np.array(
+        [full[tuple(sorted(inputs[i] for i in term))] for term in _monomials(len(inputs), degree)]
+    )
+    columns.flags.writeable = False
+    return columns
+
+
+@dataclass(frozen=True, eq=False)
+class NormalSystem:
+    """The ridge normal equations of the full-mask, top-degree design over
+    the turns of the training games; every grid cell's system is a slice.
+
+    ``columns`` is that design transposed, one row per monomial. Each gram
+    and right-hand-side entry is the elementwise product of its own two
+    rows summed by numpy, so it depends on nothing else: not on which cell
+    slices it, nor on a BLAS thread count.
+    """
+
+    normalization: tuple[tuple[float, float], ...]  # each statistic, then the turn index
+    columns: np.ndarray
+    gram: np.ndarray
+    rhs: np.ndarray
+
+    @classmethod
+    def from_games(cls, train: Sequence[GameRecord]) -> "NormalSystem":
+        raw = _raw_table(train, FULL_MASK)
+        if not raw.shape[0]:
+            raise InsufficientDataError("no monitored turns in the training games")
+        bounds = tuple((float(lo), float(hi)) for lo, hi in zip(raw.min(axis=0), raw.max(axis=0)))
+        columns = design_matrix(raw, bounds, TOP_DEGREE).T
+        labels = np.array([float(game.label) for game in train for _ in game.features])
+        gram = np.empty((len(columns), len(columns)))
+        for i, column in enumerate(columns):
+            gram[i, i:] = gram[i:, i] = (column * columns[i:]).sum(axis=1)
+        return cls(bounds, columns, gram, (columns * labels).sum(axis=1))
+
+
+def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve ``a @ x = b`` for symmetric positive definite ``a`` (a ridge
+    system with ``alpha > 0``, or a full-rank one with ``alpha == 0``).
+    Every inner product is an elementwise multiply and a numpy ``sum``, so
+    the bits do not depend on a BLAS or LAPACK build or thread count."""
+    n = len(b)
+    lower = np.zeros((n, n))
+    for j in range(n):
+        pivot = a[j, j] - (lower[j, :j] * lower[j, :j]).sum()
+        if not pivot > 0.0:
+            raise SingularSystemError("ridge system is not positive definite")
+        lower[j, j] = math.sqrt(pivot)
+        below = a[j + 1 :, j] - (lower[j + 1 :, :j] * lower[j, :j]).sum(axis=1)
+        lower[j + 1 :, j] = below / lower[j, j]
+    z = np.zeros(n)
+    for i in range(n):
+        z[i] = (b[i] - (lower[i, :i] * z[:i]).sum()) / lower[i, i]
+    x = np.zeros(n)
+    for i in reversed(range(n)):
+        x[i] = (z[i] - (lower[i + 1 :, i] * x[i + 1 :]).sum()) / lower[i, i]
+    return x
+
+
 def fit_monitor(
-    train: Sequence[GameRecord],
+    system: NormalSystem,
     feature_mask: Sequence[str],
     degree: int,
     alpha: float = DEFAULT_ALPHA,
     role: str = "",
 ) -> MonitorModel:
-    """Fit one (mask, degree) cell on the turns of the training games. No
-    threshold yet."""
-    mask = tuple(feature_mask)
-    raw = _raw_table(train, mask)
-    if not raw.shape[0]:
-        raise InsufficientDataError("no monitored turns in the training games")
+    """Fit one (mask, degree) cell on the training turns behind ``system``,
+    from the slice of its gram and right-hand side. No threshold yet."""
     if degree not in DEGREES:
         raise ValueError(f"degree must be in {DEGREES}")
-    bounds = tuple((float(lo), float(hi)) for lo, hi in zip(raw.min(axis=0), raw.max(axis=0)))
-    design = design_matrix(raw, bounds, degree)
-    y = np.array([float(game.label) for game in train for _ in game.features])
-    n_terms = design.shape[1]
-    penalty = np.eye(n_terms) * alpha
-    penalty[0, 0] = 0.0  # the intercept term () comes first and is unpenalized
-    gram = design.T @ design + penalty
-    if alpha == 0.0 and np.linalg.matrix_rank(design) < n_terms:
+    mask = tuple(feature_mask)
+    columns = _columns(mask, degree)
+    if alpha == 0.0 and np.linalg.matrix_rank(system.columns[columns].T) < len(columns):
         raise SingularSystemError("rank-deficient design with alpha=0")
-    weights = np.linalg.solve(gram, design.T @ y)
-
+    gram = system.gram[np.ix_(columns, columns)]
+    penalized = np.arange(1, len(columns))  # the intercept term () comes first, unpenalized
+    gram[penalized, penalized] += alpha
+    weights = _cholesky_solve(gram, system.rhs[columns])
     return MonitorModel(
         role=role,
         feature_mask=mask,
         degree=degree,
-        normalization=bounds,
+        normalization=tuple(system.normalization[i] for i in _input_indices(mask)),
         weights=tuple(float(w) for w in weights),
     )
 
 
 def _best_threshold(
-    model: MonitorModel, validation: Sequence[GameRecord], taus: Sequence[float]
+    model: MonitorModel,
+    design: np.ndarray,
+    validation: Sequence[GameRecord],
+    taus: Sequence[float],
 ) -> MonitorModel:
     """Attach the gain-maximizing tau (the first best in ``taus`` wins, so
-    the lowest tau of a sorted grid wins ties).
+    the lowest tau of a sorted grid wins ties). ``design`` is the model's
+    design over the turns of ``validation``, in game order.
 
     A game triggers when any of its monitored turns scores below tau. The
     gain is the net correctly-vs-falsely triggered game percentage: a
     failed game counts for the monitor when it triggers, a successful game
     against it.
     """
-    design = design_matrix(
-        _raw_table(validation, model.feature_mask), model.normalization, model.degree
-    )
-    scores = np.clip(design @ np.array(model.weights), 0.0, 1.0)
+    scores = np.clip((design * np.array(model.weights)).sum(axis=1), 0.0, 1.0)
     counts = np.array([len(game.features) for game in validation])
     played = counts > 0
     minima = np.full(len(validation), math.inf)
     minima[played] = np.minimum.reduceat(scores, (np.cumsum(counts) - counts)[played])
     signs = np.array([-1 if game.label else 1 for game in validation])
-    net = (minima < np.array(taus)[:, None]) @ signs
+    net = ((minima < np.array(taus)[:, None]) * signs).sum(axis=1)
     best = int(np.argmax(net))
     return replace(model, tau=taus[best], validation_gain=100.0 * int(net[best]) / len(validation))
 
@@ -228,14 +311,23 @@ def grid_search_ranked(
     """Every (degree, feature subset) cell with its best tau, ranked by
     validation gain. Ties break toward lower degree, fewer features, lower
     tau, and finally the fixed mask order, so the ranking is deterministic.
+
+    One raw table and one design per split serve all 35 cells: each cell
+    fits from a slice of the training system and scores the validation
+    turns with a column slice of the validation design.
     """
     if not any(game.features for game in train) or not validation:
         raise InsufficientDataError("need non-empty train and validation sets")
+    system = NormalSystem.from_games(train)
+    validation_design = design_matrix(
+        _raw_table(validation, FULL_MASK), system.normalization, TOP_DEGREE
+    )
     candidates: list[MonitorModel] = []
     for degree in DEGREES:
         for mask in all_feature_masks():
-            model = fit_monitor(train, mask, degree, alpha=alpha, role=role)
-            candidates.append(_best_threshold(model, validation, taus))
+            model = fit_monitor(system, mask, degree, alpha=alpha, role=role)
+            cell_design = validation_design[:, _columns(mask, degree)]
+            candidates.append(_best_threshold(model, cell_design, validation, taus))
     order = {mask: i for i, mask in enumerate(all_feature_masks())}
     candidates.sort(
         key=lambda m: (

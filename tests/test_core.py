@@ -24,6 +24,7 @@ from roguewatch.core import (
     parse_trajectory_jsonl,
 )
 from roguewatch.errors import InfeasibleRequestError, RollbackPastCheckpointError
+from roguewatch.harness import SplitManifest, gen_dataset
 
 
 def msg(i: int, kind: MessageKind = MessageKind.DISCUSSION) -> Message:
@@ -91,6 +92,41 @@ class TestGenerateGame:
     def test_json_roundtrip(self):
         spec = generate_game("symmetric", 5, 20, seed=77)
         assert GameSpec.from_json_obj(json.loads(json.dumps(spec.to_json_obj()))) == spec
+
+    def test_out_of_schema_value_rejected(self):
+        obj = generate_game("asymmetric", 5, 31, seed=3).to_json_obj()
+        obj["suspects"][2]["assignment"]["eye_color"] = "violet"
+        with pytest.raises(ValueError, match="eye_color"):
+            GameSpec.from_json_obj(obj)
+
+
+class TestSharedPairs:
+    """Every profile of a schema is built from the schema's own pairs."""
+
+    @staticmethod
+    def assert_one_object_per_pair(specs):
+        pairs = [pair for spec in specs for s in spec.suspects for pair in s.assignment]
+        assert len({id(pair) for pair in pairs}) == len(set(pairs))
+
+    @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
+    def test_generated_and_decoded_manifests_share_pairs(self, variant):
+        manifest = gen_dataset("whodunit", seed=0, variant=variant)
+        decoded = SplitManifest.from_json_obj(json.loads(json.dumps(manifest.to_json_obj())))
+        for m in (manifest, decoded):
+            specs = m.train + m.validation + m.test
+            assert len(specs) == 480
+            self.assert_one_object_per_pair(specs)
+        schema = manifest.test[0].schema
+        assert decoded.test[0].schema is schema
+        assert schema is AttributeSchema.for_variant(variant)
+        assert decoded.test[0].suspects[0].assignment[0] in schema.pairs[0]
+
+    def test_schema_lookups(self):
+        schema = AttributeSchema.for_variant("symmetric")
+        assert schema.names == tuple(name for name, _ in ATTRIBUTE_TABLE)
+        assert schema.values_of("eye_color") == ("blue", "brown", "green")
+        with pytest.raises(KeyError):
+            schema.values_of("tail")
 
 
 class TestChannel:

@@ -3,7 +3,7 @@ plain code did.
 
 Each optimized routine is checked against a reference copy of the
 straightforward code it replaced, kept here for that purpose: bit for bit,
-or for the batch monitor scores, within rounding.
+or for the batch monitor scores and the ridge solve, within rounding.
 """
 
 from __future__ import annotations
@@ -21,7 +21,10 @@ from roguewatch.monitor import (
     DEFAULT_TAUS,
     DEGREES,
     GameRecord,
+    NormalSystem,
     _best_threshold,
+    _columns,
+    _raw_table,
     all_feature_masks,
     design_matrix,
     fit_monitor,
@@ -208,17 +211,22 @@ def monitor_cells():
     """Every grid cell fitted on seeded games, plus one with a constant
     input column (every training turn has the same turn index)."""
     rng = random.Random(41)
-    train = seeded_games(rng, 60)
+    system = NormalSystem.from_games(seeded_games(rng, 60))
     models = [
-        fit_monitor(train, mask, degree) for degree in DEGREES for mask in all_feature_masks()
+        fit_monitor(system, mask, degree) for degree in DEGREES for mask in all_feature_masks()
     ]
     flat = [
         GameRecord(features=(FeatureVector(rng.uniform(0.0, 2.3), 0.5, 3.0, 4),), label=i % 2 == 0)
         for i in range(20)
     ]
-    models.append(fit_monitor(flat, ("entropy",), 3))
+    models.append(fit_monitor(NormalSystem.from_games(flat), ("entropy",), 3))
     assert models[-1].normalization[-1] == (4.0, 4.0)
     return models
+
+
+def cell_design(model, games) -> np.ndarray:
+    """A model's own design over the turns of ``games``."""
+    return design_matrix(_raw_table(games, model.feature_mask), model.normalization, model.degree)
 
 
 def test_batch_tau_search_matches_scalar_sweep():
@@ -239,7 +247,7 @@ def test_batch_tau_search_matches_scalar_sweep():
             for taus in grids:
                 gains = reference_gains(model, games, taus)
                 best = gains.index(max(gains))
-                chosen = _best_threshold(model, games, taus)
+                chosen = _best_threshold(model, cell_design(model, games), games, taus)
                 assert (chosen.tau, chosen.validation_gain) == (taus[best], gains[best])
                 ties += gains.count(gains[best]) > 1
     assert ties
@@ -260,3 +268,38 @@ def test_design_matrix_matches_linear_output():
         batch = design_matrix(raw, model.normalization, model.degree) @ np.array(model.weights)
         for value, fv in zip(batch, probes):
             assert abs(value - model.linear_output(fv)) <= 1e-12
+
+
+def reference_fit(train, mask, degree, alpha=1.0) -> tuple:
+    """The per-cell fit the shared system replaced: the cell's own design,
+    its BLAS normal equations and a LAPACK solve. Returns the bounds, the
+    design, the weights and the system's condition number."""
+    raw = _raw_table(train, mask)
+    bounds = tuple((float(lo), float(hi)) for lo, hi in zip(raw.min(axis=0), raw.max(axis=0)))
+    design = design_matrix(raw, bounds, degree)
+    labels = np.array([float(game.label) for game in train for _ in game.features])
+    penalty = np.eye(design.shape[1]) * alpha
+    penalty[0, 0] = 0.0
+    gram = design.T @ design + penalty
+    return bounds, design, np.linalg.solve(gram, design.T @ labels), np.linalg.cond(gram)
+
+
+def test_grid_cells_are_exact_slices_of_the_shared_system():
+    train = seeded_games(random.Random(41), 60)
+    labels = np.array([float(game.label) for game in train for _ in game.features])
+    system = NormalSystem.from_games(train)
+    for degree in DEGREES:
+        for mask in all_feature_masks():
+            columns = _columns(mask, degree)
+            bounds, design, weights, cond = reference_fit(train, mask, degree)
+            own = np.ascontiguousarray(design.T)
+            # The cell's design, gram and right-hand side, bit for bit.
+            assert np.array_equal(system.columns[columns].T, design)
+            gram = np.array([[(row * other).sum() for other in own] for row in own])
+            assert np.array_equal(system.gram[np.ix_(columns, columns)], gram)
+            assert np.array_equal(system.rhs[columns], np.array([(c * labels).sum() for c in own]))
+            # The solve agrees with LAPACK to within the system's conditioning.
+            model = fit_monitor(system, mask, degree)
+            assert model.normalization == bounds
+            error = np.abs(np.array(model.weights) - weights).max() / np.abs(weights).max()
+            assert error <= 4 * cond * np.finfo(float).eps

@@ -3,7 +3,8 @@
 The sha256 digests of trajectories.jsonl and report.json are pinned for
 small fixed configs that need no fitted model, so a refactor that changes a
 single byte of either file, or the order of any random draw, fails here.
-The JSON of every ranked monitor fitted on a small rogue-accuser corpus is
+The JSON of every ranked monitor fitted on a small rogue-accuser corpus, and
+the manifest JSON ``gen-dataset`` writes for each whodunit variant, are
 pinned the same way.
 The determinism tests in test_harness.py only compare two runs of the same
 code; these digests compare against earlier code.
@@ -12,6 +13,7 @@ code; these digests compare against earlier code.
 from __future__ import annotations
 
 import hashlib
+import json
 
 import pytest
 
@@ -136,8 +138,10 @@ def test_golden_replay(name, tmp_path):
     assert digests(name, tmp_path) == (trajectories_sha, report_sha)
 
 
-# sha256 of the concatenated ``to_json()`` of all 35 ranked monitors.
-RANKED_GRID_SHA = "63e0b1511a1627c4cf4058440dd70fa08d12a38311072a23b2d4709e5eb03411"
+# sha256 of the concatenated ``to_json()`` of all 35 ranked monitors. The
+# fit and the tau search use no BLAS or LAPACK product or solve, so this
+# holds at any BLAS thread count.
+RANKED_GRID_SHA = "6350299d1e15788181966284e59299e7b7e273a36fdfb87011118ce526575054"
 
 
 def test_golden_ranked_grid(tmp_path):
@@ -154,3 +158,18 @@ def test_golden_ranked_grid(tmp_path):
     assert len(ranked) == 35
     digest = hashlib.sha256("".join(m.to_json() for m in ranked).encode()).hexdigest()
     assert digest == RANKED_GRID_SHA
+
+
+# sha256 of the manifest JSON ``roguewatch gen-dataset --seed 0`` writes with
+# the default split sizes (210/90/180 games, 10 suspects), per variant.
+MANIFEST_SHA = {
+    "asymmetric": "f68cc948c39f46bbca9a27cda7e0d84e3b4185fc5d80355db5925abeffe68860",
+    "symmetric": "7929257bc13d2ed8fc9429d17f9d842a9f07d0a3f4ae78b2acf21a00cea6d62b",
+}
+
+
+@pytest.mark.parametrize("variant", sorted(MANIFEST_SHA))
+def test_golden_manifest(variant):
+    manifest = gen_dataset("whodunit", seed=0, variant=variant)
+    text = json.dumps(manifest.to_json_obj(), indent=2)
+    assert hashlib.sha256(text.encode()).hexdigest() == MANIFEST_SHA[variant]

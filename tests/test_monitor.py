@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,8 +16,10 @@ from roguewatch.errors import InsufficientDataError, SingularSystemError
 from roguewatch.monitor import (
     GameRecord,
     MonitorModel,
+    NormalSystem,
     RandomMonitor,
     _best_threshold,
+    _raw_table,
     all_feature_masks,
     calibrate_random_monitor,
     design_matrix,
@@ -34,6 +40,17 @@ def row(label, **kwargs) -> GameRecord:
     return GameRecord(features=(fv(**kwargs),), label=label, game_id="g")
 
 
+def fit_on(train, feature_mask, degree, **kwargs) -> MonitorModel:
+    """One cell fitted on the system of its own training games."""
+    return fit_monitor(NormalSystem.from_games(train), feature_mask, degree, **kwargs)
+
+
+def best_threshold(model, games, taus) -> MonitorModel:
+    """The tau search over the model's own design of ``games``."""
+    design = design_matrix(_raw_table(games, model.feature_mask), model.normalization, model.degree)
+    return _best_threshold(model, design, games, taus)
+
+
 def line_corpus() -> list[GameRecord]:
     # Labels 0, 1, 2 on entropy 0, 1, 2: pins the exact least-squares line.
     return [
@@ -46,17 +63,17 @@ def line_corpus() -> list[GameRecord]:
 class TestFit:
     def test_monomial_count_degree_two(self):
         corpus = [row(1.0, entropy=i, turn=i) for i in range(5)]
-        model = fit_monitor(corpus, ("entropy",), degree=2)
+        model = fit_on(corpus, ("entropy",), degree=2)
         assert len(model.weights) == 6  # 1, x, t, x^2, xt, t^2
 
     def test_constant_labels_predict_constant(self):
         corpus = [row(1.0, entropy=random.Random(0).random(), turn=i) for i in range(20)]
-        model = fit_monitor(corpus, ("entropy",), degree=1, alpha=1e-9)
+        model = fit_on(corpus, ("entropy",), degree=1, alpha=1e-9)
         for r in corpus:
             assert model.predict_success(r.features[0]) == pytest.approx(1.0, abs=1e-6)
 
     def test_exact_line_recovered_with_vanishing_alpha(self):
-        model = fit_monitor(line_corpus(), ("entropy",), degree=1, alpha=1e-12)
+        model = fit_on(line_corpus(), ("entropy",), degree=1, alpha=1e-12)
         assert model.linear_output(fv(entropy=0.0, turn=1)) == pytest.approx(0.0, abs=1e-6)
         assert model.linear_output(fv(entropy=1.0, turn=1)) == pytest.approx(1.0, abs=1e-6)
         assert model.linear_output(fv(entropy=2.0, turn=1)) == pytest.approx(2.0, abs=1e-6)
@@ -65,25 +82,25 @@ class TestFit:
         # One distinct sample cannot support 3 monomials without penalty.
         corpus = [row(1.0, entropy=0.5, turn=1)] * 3
         with pytest.raises(SingularSystemError):
-            fit_monitor(corpus, ("entropy",), degree=1, alpha=0.0)
+            fit_on(corpus, ("entropy",), degree=1, alpha=0.0)
 
     def test_empty_corpus_raises(self):
         with pytest.raises(InsufficientDataError):
-            fit_monitor([], ("entropy",), degree=1)
+            fit_on([], ("entropy",), degree=1)
 
     def test_shrinkage_to_label_mean(self):
         rng = random.Random(4)
         rows = [
             row(float(i % 2), entropy=rng.random(), turn=i % 7 + 1) for i in range(40)
         ]
-        model = fit_monitor(rows, ("entropy",), degree=3, alpha=1e9)
+        model = fit_on(rows, ("entropy",), degree=3, alpha=1e9)
         mean_label = sum(r.label for r in rows) / len(rows)
         for r in rows[:5]:
             assert model.linear_output(r.features[0]) == pytest.approx(mean_label, abs=1e-3)
 
     def test_normalization_bounds_from_train_only(self):
         corpus = [row(0.0, entropy=0.0, turn=1), row(1.0, entropy=2.0, turn=9)]
-        model = fit_monitor(corpus, ("entropy",), degree=1)
+        model = fit_on(corpus, ("entropy",), degree=1)
         assert model.normalization[0] == (0.0, 2.0)
         assert model.normalization[1] == (1.0, 9.0)
         # Out-of-range inputs extrapolate linearly, no clamping inside.
@@ -95,7 +112,7 @@ class TestFit:
 
 class TestPredict:
     def test_clamping(self):
-        model = fit_monitor(line_corpus(), ("entropy",), degree=1, alpha=1e-12)
+        model = fit_on(line_corpus(), ("entropy",), degree=1, alpha=1e-12)
         assert model.predict_success(fv(entropy=2.0, turn=1)) == 1.0  # raw 2.0
         assert model.predict_success(fv(entropy=-1.0, turn=1)) == 0.0  # raw -1.0
         assert 0.0 <= model.predict_success(fv(entropy=0.7, turn=1)) <= 1.0
@@ -104,7 +121,7 @@ class TestPredict:
 class TestGain:
     def make_model(self, tau=None):
         corpus = [row(0.0, entropy=1.0, turn=1), row(1.0, entropy=0.0, turn=2)]
-        return fit_monitor(corpus, ("entropy",), degree=1)
+        return fit_on(corpus, ("entropy",), degree=1)
 
     def test_hand_counted_gain(self):
         model = self.make_model()
@@ -117,14 +134,14 @@ class TestGain:
         for _ in range(5):  # successful games that stay quiet
             games.append(GameRecord(features=(fv(entropy=0.0, turn=2),), label=True))
         tau = 0.5
-        assert _best_threshold(model, games, (tau,)).validation_gain == pytest.approx(
+        assert best_threshold(model, games, (tau,)).validation_gain == pytest.approx(
             100.0 * (3 - 1) / 10
         )
 
     def test_tau_zero_never_triggers(self):
         model = self.make_model()
         games = [GameRecord(features=(fv(entropy=1.0, turn=1),), label=False)]
-        assert _best_threshold(model, games, (0.0,)).validation_gain == 0.0
+        assert best_threshold(model, games, (0.0,)).validation_gain == 0.0
 
     def test_perfect_monitor_gain_equals_failed_fraction(self):
         model = self.make_model()
@@ -134,7 +151,7 @@ class TestGain:
             GameRecord(features=(fv(entropy=0.0, turn=2),), label=True),
             GameRecord(features=(fv(entropy=0.0, turn=2),), label=True),
         ]
-        assert _best_threshold(model, games, (0.5,)).validation_gain == pytest.approx(50.0)
+        assert best_threshold(model, games, (0.5,)).validation_gain == pytest.approx(50.0)
 
     def test_trigger_sets_nested_in_tau(self):
         model = self.make_model()
@@ -154,7 +171,7 @@ class TestGain:
             current = {
                 i
                 for i, g in enumerate(games)
-                if _best_threshold(model, [g], (tau,)).validation_gain != 0.0
+                if best_threshold(model, [g], (tau,)).validation_gain != 0.0
             }
             assert previous <= current
             previous = current
@@ -205,11 +222,69 @@ class TestGridSearch:
         gains = [m.validation_gain for m in ranked]
         assert gains == sorted(gains, reverse=True)
 
+    def test_one_table_one_design_per_split(self, monkeypatch):
+        from roguewatch import monitor
+
+        calls = {"_raw_table": 0, "design_matrix": 0, "fit_monitor": 0}
+        for name in calls:
+            original = getattr(monitor, name)
+
+            def counted(*args, _name=name, _original=original, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(monitor, name, counted)
+        corpus, games = self.separable_data()
+        monitor.grid_search_ranked(corpus, games)
+        assert calls == {"_raw_table": 2, "design_matrix": 2, "fit_monitor": 35}
+
     def test_mask_catalog(self):
         masks = all_feature_masks()
         assert len(masks) == 7
         assert masks[0] == ("entropy",)
         assert masks[-1] == ("entropy", "varentropy", "kurtosis")
+
+
+# Ranks the grid of the golden rogue-accuser corpus (see test_golden.py) and
+# prints the JSON of every ranked monitor.
+GRID_SCRIPT = """
+import sys, tempfile
+from pathlib import Path
+from roguewatch.core import parse_trajectory_jsonl
+from roguewatch.harness import ExperimentConfig, gen_dataset, records_from_games, run_experiment
+from roguewatch.monitor import grid_search_ranked
+
+manifest = gen_dataset("whodunit", sizes=(24, 12, 0), seed=5, n_suspects=6)
+config = ExperimentConfig.from_json_obj(
+    {"agents": {"accuser": {"type": "rogue", "epsilon": 0.35}}, "base_seed": 3}
+)
+records = []
+with tempfile.TemporaryDirectory() as tmp:
+    for split in ("train", "validation"):
+        run_experiment(config, manifest, split=split, output_dir=Path(tmp) / split)
+        text = (Path(tmp) / split / "trajectories.jsonl").read_text()
+        records.append(records_from_games(parse_trajectory_jsonl(text), "accuser"))
+sys.stdout.write("".join(m.to_json() for m in grid_search_ranked(*records, role="accuser")))
+"""
+
+
+def test_grid_bits_do_not_depend_on_blas_threads():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    unset = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    base = {k: v for k, v in os.environ.items() if k not in unset}
+    base["PYTHONPATH"] = src + os.pathsep + base.get("PYTHONPATH", "")
+    outputs = [
+        subprocess.run(
+            [sys.executable, "-c", GRID_SCRIPT],
+            env=env,
+            capture_output=True,
+            text=True,
+            check=True,
+            timeout=300,
+        ).stdout
+        for env in (base, {**base, "OPENBLAS_NUM_THREADS": "1"})
+    ]
+    assert outputs[0] and outputs[0] == outputs[1]
 
 
 class TestSerialization:
@@ -219,7 +294,7 @@ class TestSerialization:
             for i in range(25)
         ]
         model = replace(
-            fit_monitor(corpus, ("entropy", "kurtosis"), degree=3), tau=0.4, validation_gain=12.0
+            fit_on(corpus, ("entropy", "kurtosis"), degree=3), tau=0.4, validation_gain=12.0
         )
         restored = MonitorModel.from_json(model.to_json())
         assert restored == model
