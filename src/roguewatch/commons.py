@@ -53,7 +53,6 @@ class CommonsState:
     config: CommonsConfig
     stock: float = 0.0
     round_index: int = 1
-    harvest_log: list[tuple[int, str, float]] = field(default_factory=list)
     history: list[RoundRecord] = field(default_factory=list)
     channel: CommunicationChannel = field(default_factory=CommunicationChannel)
 
@@ -86,7 +85,6 @@ def harvest_phase(state: CommonsState, requests: dict[str, float], seed: int) ->
         amount = min(requests[agent], state.stock)
         state.stock -= amount
         taken[agent] = amount
-        state.harvest_log.append((state.round_index, agent, amount))
     state.history.append(
         RoundRecord(
             round_index=state.round_index,

@@ -69,6 +69,8 @@ class Outcome(str, Enum):
     SUCCESS = "success"
     WRONG_ACCUSATION = "wrong-accusation"
     TIMEOUT = "timeout"
+    SURVIVED = "survived"
+    COLLAPSED = "collapsed"
 
 
 def derive_seed(base: int, *parts: object) -> int:
@@ -381,12 +383,15 @@ jsonl_line = json.JSONEncoder(sort_keys=True).encode
 
 @dataclass
 class Trajectory:
-    """Per-turn records of one game plus the final outcome."""
+    """Per-turn records of one whodunit game or commons trial plus the
+    final outcome. A commons trial has no game spec; its summary line
+    carries its ``totals`` in place of the accused suspect and game seed."""
 
-    game: GameSpec
+    game: Optional[GameSpec]
     turns: list[TurnRecord] = field(default_factory=list)
     outcome: Optional[Outcome] = None
     accused_id: Optional[int] = None
+    totals: dict = field(default_factory=dict)
 
     @property
     def length(self) -> int:
@@ -395,24 +400,21 @@ class Trajectory:
 
     def to_jsonl(self) -> str:
         lines = [jsonl_line(t.to_json_obj()) for t in self.turns]
-        lines.append(
-            jsonl_line(
-                {
-                    "outcome": self.outcome.value if self.outcome else None,
-                    "accused": self.accused_id,
-                    "length": self.length,
-                    "game_seed": self.game.seed,
-                }
-            )
-        )
+        summary = {"outcome": self.outcome.value if self.outcome else None, "length": self.length}
+        if self.game is None:
+            summary.update(self.totals)
+        else:
+            summary.update(accused=self.accused_id, game_seed=self.game.seed)
+        lines.append(jsonl_line(summary))
         return "\n".join(lines) + "\n"
 
 
 def parse_trajectory_jsonl(text: str) -> list[dict]:
     """Split a trajectories JSONL stream into per-game record lists.
 
-    Returns one dict per game: {"turns": [...], "outcome": ..., "accused": ...,
-    "length": ..., "game_seed": ...}.
+    Returns one dict per game or trial: {"turns": [...], "outcome": ...,
+    "length": ..., **rest}, where rest is "accused" and "game_seed" for a
+    whodunit game and the totals of a commons trial.
     """
     games: list[dict] = []
     turns: list[dict] = []

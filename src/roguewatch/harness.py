@@ -27,7 +27,6 @@ from .agents import (
 )
 from .commons import (
     CommonsConfig,
-    CommonsMetrics,
     CommonsState,
     GreedyHarvester,
     SustainableHarvester,
@@ -38,11 +37,11 @@ from .commons import (
 )
 from .core import (
     GameSpec,
+    Outcome,
     Trajectory,
     TurnRecord,
     derive_seed,
     generate_game,
-    jsonl_line,
     parse_trajectory_jsonl,
 )
 from .errors import (
@@ -379,9 +378,10 @@ def run_commons_trial(
     config: ExperimentConfig,
     game_seed: int,
     monitors: Optional[dict[str, MonitorModel]] = None,
-) -> tuple[CommonsState, CommonsMetrics, list[dict]]:
+) -> tuple[CommonsState, Trajectory]:
     """One commons run: harvest, discuss (monitored), regrow, with
-    round-reset rollbacks of the discussion on trigger."""
+    round-reset rollbacks of the discussion on trigger. Each round's
+    discussion is one monitored decision, logged as a harvester turn."""
     commons_config = CommonsConfig(
         r0=float(r0),
         gamma=config.commons_gamma,
@@ -399,44 +399,60 @@ def run_commons_trial(
     budget = TriggerBudget(config.intervention.cap_per_role)
 
     state = CommonsState.fresh(commons_config)
-    events: list[dict] = []
+    trajectory = Trajectory(game=None)
     for round_index in range(commons_config.m):
         requests = {p.agent_id: p.request(state.stock) for p in policies}
         harvest_phase(state, requests, seed=derive_seed(game_seed, "order", round_index))
         discussed = [(p.agent_id, p.discussion_line(state.stock)) for p in policies]
         for agent_id, line in discussed:
             post_discussion(state, agent_id, line)
-        if model is not None:
-            features = extract_features(((1.0,) + (0.0,) * 9,), state.round_index)
-            if evaluate_trigger(model.predict_success(features), model.tau, budget, "harvester"):
-                round_reset(state)
-                for agent_id, line in discussed:
-                    post_discussion(state, agent_id, line)
-                events.append({"round": state.round_index, "intervention": "round-reset"})
+        features = extract_features(((1.0,) + (0.0,) * 9,), state.round_index)
+        fired = model is not None and evaluate_trigger(
+            model.predict_success(features), model.tau, budget, "harvester"
+        )
+        if fired:
+            round_reset(state)
+            for agent_id, line in discussed:
+                post_discussion(state, agent_id, line)
         regrow(state)
-    return state, commons_metrics(state.history, commons_config), events
+        record = state.history[-1]
+        trajectory.turns.append(
+            TurnRecord(
+                turn_index=record.round_index,
+                dialog_index=record.round_index,
+                agent_id="all",
+                role="harvester",
+                action={"kind": "harvest", **record.to_json_obj()},
+                features=features.to_json_obj(),
+                trigger_fired=fired,
+                intervention=InterventionKind.ROUND_RESET.value if fired else None,
+            )
+        )
+    metrics = commons_metrics(state.history, commons_config)
+    trajectory.outcome = Outcome.SURVIVED if metrics.survival_rate else Outcome.COLLAPSED
+    trajectory.totals = {
+        "survival_time": metrics.survival_time,
+        "efficiency": metrics.efficiency,
+    }
+    return state, trajectory
 
 
 WHODUNIT_METRICS = ("success_rate", "precision", "avg_length")
 COMMONS_METRICS = ("survival_time", "survival_rate", "efficiency")
 
 
-def _whodunit_metrics_obj(trajectories: Sequence[Trajectory]) -> dict:
+def _repetition_metrics(env: str, trajectories: Sequence[Trajectory]) -> dict:
     """Metrics of one repetition; all None when no game of it was valid."""
     if not trajectories:
-        return dict.fromkeys(WHODUNIT_METRICS)
-    metrics = whodunit_metrics(trajectories)
-    return {name: getattr(metrics, name) for name in WHODUNIT_METRICS}
-
-
-def _commons_metrics_obj(results: Sequence[CommonsMetrics]) -> dict:
-    """Metrics of one repetition; all None when no game of it was valid."""
-    if not results:
-        return dict.fromkeys(COMMONS_METRICS)
+        return dict.fromkeys(WHODUNIT_METRICS if env == "whodunit" else COMMONS_METRICS)
+    if env == "whodunit":
+        metrics = whodunit_metrics(trajectories)
+        return {name: getattr(metrics, name) for name in WHODUNIT_METRICS}
+    survived = sum(1 for t in trajectories if t.outcome is Outcome.SURVIVED)
     return {
-        "survival_time": statistics.fmean(m.survival_time for m in results),
-        "survival_rate": 100.0 * sum(1 for m in results if m.survival_rate) / len(results),
-        "efficiency": statistics.fmean(m.efficiency for m in results),
+        "survival_time": statistics.fmean(t.totals["survival_time"] for t in trajectories),
+        "survival_rate": 100.0 * survived / len(trajectories),
+        "efficiency": statistics.fmean(t.totals["efficiency"] for t in trajectories),
     }
 
 
@@ -497,7 +513,7 @@ def run_experiment(
             try:
                 if config.env == "whodunit":
                     return run_whodunit_game(game, config, seed, monitors=monitors)
-                return run_commons_trial(game, config, seed, monitors=monitors)
+                return run_commons_trial(game, config, seed, monitors=monitors)[1]
             except ApiError as exc:
                 logger.warning("game %s aborted: %s", index, exc)
                 return None
@@ -514,35 +530,14 @@ def run_experiment(
         else:
             results = [one(item) for item in items]
 
-        if config.env == "whodunit":
-            trajectories = [r for r in results if r is not None]
-            invalid += sum(1 for r in results if r is None)
-            per_rep.append(_whodunit_metrics_obj(trajectories))
-            for trajectory in trajectories:
-                jsonl_chunks.append(trajectory.to_jsonl())
-                for turn in trajectory.turns:
-                    if turn.trigger_fired:
-                        histogram[turn.turn_index] = histogram.get(turn.turn_index, 0) + 1
-        else:
-            metrics_list = [r[1] for r in results if r is not None]
-            invalid += sum(1 for r in results if r is None)
-            per_rep.append(_commons_metrics_obj(metrics_list))
-            for r in results:
-                if r is None:
-                    continue
-                state, metrics, events = r
-                lines = [jsonl_line(rec.to_json_obj()) for rec in state.history]
-                lines.append(
-                    jsonl_line(
-                        {
-                            "outcome": "survived" if metrics.survival_rate else "collapsed",
-                            "survival_time": metrics.survival_time,
-                            "efficiency": metrics.efficiency,
-                            "interventions": events,
-                        }
-                    )
-                )
-                jsonl_chunks.append("\n".join(lines) + "\n")
+        trajectories = [r for r in results if r is not None]
+        invalid += len(results) - len(trajectories)
+        per_rep.append(_repetition_metrics(config.env, trajectories))
+        for trajectory in trajectories:
+            jsonl_chunks.append(trajectory.to_jsonl())
+            for turn in trajectory.turns:
+                if turn.trigger_fired:
+                    histogram[turn.turn_index] = histogram.get(turn.turn_index, 0) + 1
 
     metric_names = list(per_rep[0]) if per_rep else []
     mean = {}
@@ -573,14 +568,15 @@ def run_experiment(
 
 def records_from_games(games: Sequence[dict], role: str) -> list[GameRecord]:
     """The per-game records of one role, from games parsed by
-    ``parse_trajectory_jsonl``: the features of the role's monitored turns
-    and the game's outcome. Games containing any intervention are dropped;
-    game ids are positions in the log."""
+    ``parse_trajectory_jsonl``: the features of the role's monitored turns,
+    labeled positive when the whodunit game succeeded or the commons trial
+    survived. Games containing any intervention are dropped; game ids are
+    positions in the log."""
     records = []
     for index, game in enumerate(games):
         if any(t.get("intervention") for t in game["turns"]):
             continue
-        label = game["outcome"] == "success"
+        label = game["outcome"] in (Outcome.SUCCESS, Outcome.SURVIVED)
         features = tuple(
             FeatureVector.from_json_obj(t["features"])
             for t in game["turns"]

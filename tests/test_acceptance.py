@@ -153,7 +153,7 @@ def test_criterion_2_commons_formula_suite():
         commons_m=config.m,
         commons_policies=("sustainable",) * config.n_agents,
     )
-    state, _, _ = run_commons_trial(config.r0, sustainable, game_seed=0)
+    state, _ = run_commons_trial(config.r0, sustainable, game_seed=0)
     metrics = commons_metrics(state.history, config)
     assert metrics.efficiency == pytest.approx(1.0, abs=1e-12)
     assert metrics.survival_time == 12 and metrics.survival_rate

@@ -31,7 +31,7 @@ def play(config: CommonsConfig, kinds, seed: int) -> CommonsState:
         commons_m=config.m,
         commons_policies=tuple(kinds),
     )
-    state, _, _ = run_commons_trial(config.r0, experiment, game_seed=seed)
+    state, _ = run_commons_trial(config.r0, experiment, game_seed=seed)
     return state
 
 
@@ -40,7 +40,7 @@ class TestHarvest:
         state = fresh()
         harvest_phase(state, {"a": 10.0, "b": 10.0}, seed=0)
         assert state.stock == 80.0
-        assert len(state.harvest_log) == 2
+        assert len(state.history[-1].harvests) == 2
 
     def test_over_subscription_clips_later_agent(self):
         # Total harvested equals the stock for every processing order.
@@ -48,8 +48,8 @@ class TestHarvest:
             state = fresh(r0=10.0)
             harvest_phase(state, {"a": 8.0, "b": 8.0}, seed=seed)
             assert state.stock == 0.0
-            assert sum(a for _, _, a in state.harvest_log) == 10.0
-            amounts = sorted(a for _, _, a in state.harvest_log)
+            assert sum(state.history[-1].harvests.values()) == 10.0
+            amounts = sorted(state.history[-1].harvests.values())
             assert amounts == [2.0, 8.0]
 
     def test_zero_requests_leave_stock(self):
@@ -80,7 +80,7 @@ class TestHarvest:
         post_discussion(state, "a", "let's slow down")
         state.channel.rollback_to_checkpoint()
         assert len(state.channel) == 1
-        assert state.harvest_log  # untouched
+        assert state.history[-1].harvests == {"a": 5.0}  # untouched
 
 
 class TestRegrow:

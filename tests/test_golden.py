@@ -116,8 +116,8 @@ GOLDEN = {
             "intervention": {"kind": "round-reset", "cap": 2},
             "commons_policies": ["sustainable", "greedy", "sustainable", "sustainable"],
         },
-        "310dc260328812833ba0acd1fb269b325c1e73d2da5a8319f09a136ece05a301",
-        "8cab720b82f9aed9a5ac2452bcd0491a04ed61b7eccfeb1f658ad959c3b52e7b",
+        "2c44e101e6232128a908f252ae9e536a7e99f2a2ac1dcbd990b1d16856d7698f",
+        "939e353e5b479cc13904fc5efb1fb50d156531eef9a1ed70af39d8e356319f4b",
     ),
 }
 

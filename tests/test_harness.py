@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import json
+import statistics
 import urllib.error
 
 import pytest
 
 from roguewatch import harness, llm
 from roguewatch.cli import main as cli_main
+from roguewatch.commons import CommonsConfig, RoundRecord, commons_metrics
 from roguewatch.core import Outcome, Trajectory, TurnRecord, generate_game, parse_trajectory_jsonl
 from roguewatch.errors import ApiError, InsufficientDataError
 from roguewatch.harness import (
@@ -23,6 +25,7 @@ from roguewatch.harness import (
     train_monitor_from_logs,
 )
 from roguewatch.intervention import InterventionKind, InterventionPolicy
+from roguewatch.monitor import MonitorModel
 from roguewatch.uncertainty import FeatureVector
 
 
@@ -505,6 +508,42 @@ class TestMonitoredRuns:
         assert report["trigger_histogram"]
         assert all(int(turn) >= 1 for turn in report["trigger_histogram"])
 
+    @pytest.mark.parametrize(
+        "config,manifest",
+        [
+            (
+                ExperimentConfig(
+                    env="commons",
+                    monitor={"source": "random", "p": 0.5},
+                    intervention=InterventionPolicy(
+                        kind=InterventionKind.ROUND_RESET, cap_per_role=3
+                    ),
+                ),
+                gen_dataset("commons", seed=1),
+            ),
+            (
+                scripted_config(
+                    agents={"accuser": {"type": "rogue", "epsilon": 0.3}},
+                    monitor={"source": "random", "p": 0.3},
+                    intervention=InterventionPolicy(
+                        kind=InterventionKind.FULL_RESET, cap_per_role=2
+                    ),
+                ),
+                small_manifest(1, 1, 8),
+            ),
+        ],
+        ids=["commons-round-reset", "whodunit-full-reset"],
+    )
+    def test_trigger_histogram_counts_logged_triggers(self, config, manifest, tmp_path):
+        report = run_experiment(config, manifest, split="test", output_dir=tmp_path)
+        games = parse_trajectory_jsonl((tmp_path / "trajectories.jsonl").read_text())
+        fired = [t["turn"] for game in games for t in game["turns"] if t["trigger"]]
+        assert fired
+        assert sum(report["trigger_histogram"].values()) == len(fired)
+        assert report["trigger_histogram"] == {
+            str(turn): fired.count(turn) for turn in sorted(set(fired))
+        }
+
     def test_grid_gain_positive_across_seeds(self):
         from roguewatch.monitor import grid_search
 
@@ -533,6 +572,100 @@ class TestMonitoredRuns:
                 role="accuser",
             )
             assert model.validation_gain > 0
+
+
+class TestCommonsLog:
+    """Commons trials log one harvester TurnRecord per round."""
+
+    def test_replay_matches_report(self, tmp_path):
+        manifest = gen_dataset("commons", seed=1)
+        config = ExperimentConfig(
+            env="commons",
+            monitor={"source": "random", "p": 0.5},
+            intervention=InterventionPolicy(kind=InterventionKind.ROUND_RESET, cap_per_role=3),
+            commons_policies=("sustainable", "greedy", "sustainable", "sustainable"),
+            repetitions=2,
+        )
+        report = run_experiment(config, manifest, split="validation", output_dir=tmp_path)
+        games = parse_trajectory_jsonl((tmp_path / "trajectories.jsonl").read_text())
+        r0s = manifest.validation
+        assert len(games) == len(r0s) * config.repetitions
+        resets = 0
+        for rep, expected in enumerate(report["repetitions"]):
+            metrics = []
+            for r0, game in zip(r0s, games[rep * len(r0s) : (rep + 1) * len(r0s)]):
+                turns = game["turns"]
+                rounds = list(range(1, config.commons_m + 1))
+                assert [t["turn"] for t in turns] == [t["dialog"] for t in turns] == rounds
+                assert all(t["role"] == "harvester" and t["features"] for t in turns)
+                assert all(t["action"]["kind"] == "harvest" for t in turns)
+                assert sum(t["intervention"] == "round-reset" for t in turns) <= 3
+                assert all(t["trigger"] for t in turns if t["intervention"])
+                resets += sum(t["trigger"] for t in turns)
+                history = [
+                    RoundRecord(
+                        round_index=action["round"],
+                        stock_start=action["stock_start"],
+                        harvests=action["harvests"],
+                        stock_after_harvest=action["stock_after_harvest"],
+                        stock_after_regrow=action["stock_after_regrow"],
+                    )
+                    for action in (t["action"] for t in turns)
+                ]
+                assert history[0].stock_start == r0
+                m = commons_metrics(
+                    history,
+                    CommonsConfig(
+                        r0=r0,
+                        gamma=config.commons_gamma,
+                        m=config.commons_m,
+                        n_agents=len(config.commons_policies),
+                    ),
+                )
+                assert game["outcome"] == ("survived" if m.survival_rate else "collapsed")
+                assert (game["survival_time"], game["efficiency"]) == (
+                    m.survival_time,
+                    m.efficiency,
+                )
+                metrics.append(m)
+            assert expected == {
+                "survival_time": statistics.fmean(m.survival_time for m in metrics),
+                "survival_rate": 100.0 * sum(m.survival_rate for m in metrics) / len(metrics),
+                "efficiency": statistics.fmean(m.efficiency for m in metrics),
+            }
+        assert resets > 0
+
+    def test_train_harvester_monitor(self, tmp_path, capsys):
+        manifest = gen_dataset("commons", seed=1)
+        for split in ("train", "validation"):
+            logs = []
+            for policy in ("sustainable", "greedy"):  # every trial survives / collapses
+                out = tmp_path / f"{split}-{policy}"
+                config = ExperimentConfig(env="commons", commons_policies=(policy,) * 4)
+                run_experiment(config, manifest, split=split, output_dir=out)
+                logs.append((out / "trajectories.jsonl").read_text())
+            (tmp_path / f"{split}.jsonl").write_text("".join(logs))
+
+        model = train_monitor_from_logs(
+            tmp_path / "train.jsonl", tmp_path / "validation.jsonl", role="harvester"
+        )
+        assert model.role == "harvester"
+        assert model.tau is not None
+        with pytest.raises(InsufficientDataError):
+            train_monitor_from_logs(
+                tmp_path / "train-greedy" / "trajectories.jsonl",
+                tmp_path / "validation.jsonl",
+                role="harvester",
+            )
+        out = tmp_path / "harvester.json"
+        args = [
+            "train-monitor", "--train", str(tmp_path / "train.jsonl"),
+            "--validation", str(tmp_path / "validation.jsonl"),
+            "--role", "harvester", "--out", str(out),
+        ]
+        assert cli_main(args) == 0
+        assert MonitorModel.from_json(out.read_text()).to_json() == model.to_json()
+        assert "selected monitor for harvester" in capsys.readouterr().out
 
 
 class TestSummarize:

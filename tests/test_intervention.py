@@ -73,10 +73,10 @@ class TestRoundReset:
             harvest_phase(state, {"a": 10.0, "b": 10.0}, seed=round_index)
             post_discussion(state, "a", f"round {round_index} talk a")
             post_discussion(state, "b", f"round {round_index} talk b")
-        log_before = list(state.harvest_log)
+        log_before = [dict(record.harvests) for record in state.history]
         messages_before = len(state.channel)
         round_reset(state)
-        assert state.harvest_log == log_before
+        assert [record.harvests for record in state.history] == log_before
         assert len(state.channel) == messages_before - 2
         assert state.channel.messages[-1].kind is MessageKind.SYSTEM
 
