@@ -88,9 +88,9 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--variant", choices=["asymmetric", "symmetric"], default="asymmetric")
     gen.add_argument("--suspects", type=int, default=10)
     gen.add_argument("--turn-limit", type=int, default=31)
-    gen.add_argument("--train", type=int, default=210)
-    gen.add_argument("--validation", type=int, default=90)
-    gen.add_argument("--test", type=int, default=180)
+    gen.add_argument("--train", type=int, help="default: 210 games, or 13 commons R0 values")
+    gen.add_argument("--validation", type=int, help="default: 90 games, or 7 commons R0 values")
+    gen.add_argument("--test", type=int, help="default: 180 games")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen_dataset)

@@ -122,25 +122,44 @@ class AttributeSchema:
             tuple((name, value) for value in values) for name, values in self.attributes
         )
 
-    @functools.cached_property
-    def _pair_of(self) -> dict[str, dict[str, tuple[str, str]]]:
-        return {row[0][0]: {pair[1]: pair for pair in row} for row in self.pairs}
-
     def values_of(self, name: str) -> tuple[str, ...]:
         return self._values[name]
 
-    def assignment_of(self, values: dict[str, str]) -> tuple[tuple[str, str], ...]:
-        """The schema-ordered assignment of a name -> value mapping, built
-        from the shared pairs. Raises ValueError naming the attribute when
-        a value is missing or not in the schema."""
-        pair_of = self._pair_of
-        try:
-            return tuple(pair_of[name][values[name]] for name in self.names)
-        except KeyError:
-            name = next(n for n in self.names if values.get(n) not in pair_of[n])
-            raise ValueError(
-                f"attribute {name!r} has no value {values.get(name)!r} in the schema"
-            ) from None
+    @functools.cached_property
+    def _digit_rows(self) -> tuple[dict, ...]:
+        """Per attribute, one dict from each value's digit ("0"-"9") to its
+        pair and from each pair back to its digit."""
+        for name, values in self.attributes:
+            if len(values) > 10:
+                raise ValueError(f"attribute {name!r} has {len(values)} values; a digit holds 10")
+        return tuple({**dict(zip("0123456789", row)), **dict(zip(row, "0123456789"))}
+                     for row in self.pairs)
+
+    def digits_of(self, assignment: tuple[tuple[str, str], ...]) -> str:
+        """A schema-ordered assignment as its digit string: digit k is the
+        index of the value of attribute k."""
+        rows = self._digit_rows
+        if len(assignment) == len(rows):
+            try:
+                return "".join(map(dict.__getitem__, rows, assignment))
+            except KeyError:
+                pass
+        raise ValueError(f"assignment {assignment!r} does not follow the schema")
+
+    def assignment_of(self, code: str) -> tuple[tuple[str, str], ...]:
+        """The assignment of a digit string, built from the shared pairs.
+        Raises ValueError naming the attribute of a missing, extra or
+        out-of-range digit."""
+        rows = self._digit_rows
+        if len(code) == len(rows):
+            try:
+                return tuple(map(dict.__getitem__, rows, code))
+            except KeyError:
+                pass
+        for k, name in enumerate(self.names):
+            if code[k : k + 1] not in rows[k]:
+                raise ValueError(f"attribute {name!r} has no value {code[k : k + 1]!r} in {code!r}")
+        raise ValueError(f"{code!r} has a digit past the last attribute, {self.names[-1]!r}")
 
     def combination_space(self) -> int:
         return math.prod(len(values) for _, values in self.attributes)
@@ -197,31 +216,24 @@ class GameSpec:
         return self.suspects[self.culprit_id - 1]
 
     def to_json_obj(self) -> dict:
+        """The game without its schema, which the manifest states once.
+        Each suspect is its digit string; its id is its 1-based position."""
         return {
             "variant": self.variant.value,
-            "schema": [[name, list(values)] for name, values in self.schema.attributes],
-            "suspects": [
-                {"id": s.suspect_id, "assignment": s.as_dict()} for s in self.suspects
-            ],
+            "suspects": [self.schema.digits_of(s.assignment) for s in self.suspects],
             "culprit_id": self.culprit_id,
             "turn_limit": self.turn_limit,
             "seed": self.seed,
         }
 
     @classmethod
-    def from_json_obj(cls, obj: dict) -> "GameSpec":
-        schema = AttributeSchema.of(
-            tuple((name, tuple(values)) for name, values in obj["schema"])
-        )
-        suspects = tuple(
-            SuspectProfile(
-                suspect_id=entry["id"], assignment=schema.assignment_of(entry["assignment"])
-            )
-            for entry in obj["suspects"]
-        )
+    def from_json_obj(cls, obj: dict, schema: AttributeSchema) -> "GameSpec":
         return cls(
             schema=schema,
-            suspects=suspects,
+            suspects=tuple(
+                SuspectProfile(suspect_id=i, assignment=schema.assignment_of(code))
+                for i, code in enumerate(obj["suspects"], 1)
+            ),
             culprit_id=obj["culprit_id"],
             turn_limit=obj["turn_limit"],
             variant=Variant(obj["variant"]),

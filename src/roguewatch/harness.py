@@ -36,6 +36,7 @@ from .commons import (
     regrow,
 )
 from .core import (
+    AttributeSchema,
     GameSpec,
     Outcome,
     Trajectory,
@@ -91,23 +92,29 @@ class SplitManifest:
         return {"train": self.train, "validation": self.validation, "test": self.test}[name]
 
     def to_json_obj(self) -> dict:
+        """A whodunit manifest states its games' one schema at the top."""
+        obj: dict = {"env": self.env}
+        encode = lambda r0: r0
         if self.env == "whodunit":
+            schemas = {spec.schema for spec in self.train + self.validation + self.test}
+            if len(schemas) > 1:
+                raise ValueError("the games of a manifest must share one attribute schema")
+            attributes = schemas.pop().attributes if schemas else ()
+            obj["schema"] = [[name, list(values)] for name, values in attributes]
             encode = lambda spec: spec.to_json_obj()
-        else:
-            encode = lambda r0: r0
-        return {
-            "env": self.env,
-            "train": [encode(x) for x in self.train],
-            "validation": [encode(x) for x in self.validation],
-            "test": [encode(x) for x in self.test],
-        }
+        for name in ("train", "validation", "test"):
+            obj[name] = [encode(x) for x in self.split(name)]
+        return obj
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SplitManifest":
+        decode = lambda r0: r0
         if obj["env"] == "whodunit":
-            decode = GameSpec.from_json_obj
-        else:
-            decode = lambda r0: r0
+            if "schema" not in obj:
+                raise ValueError("old-format manifest without a top-level 'schema': "
+                                 "regenerate it with roguewatch gen-dataset")
+            schema = AttributeSchema.of(tuple((name, tuple(vs)) for name, vs in obj["schema"]))
+            decode = lambda spec: GameSpec.from_json_obj(spec, schema)
         return cls(
             env=obj["env"],
             train=[decode(x) for x in obj["train"]],
@@ -122,18 +129,20 @@ def _spec_key(spec: GameSpec) -> tuple:
 
 def gen_dataset(
     env: str,
-    sizes: tuple[int, int, int] = (210, 90, 180),
+    sizes: tuple[Optional[int], Optional[int], Optional[int]] = (None, None, None),
     seed: int = 0,
     variant: str = "asymmetric",
     n_suspects: int = 10,
     turn_limit: int = 31,
-    commons_train: int = 13,
-    commons_validation: int = 7,
+    commons_train: Optional[int] = None,
+    commons_validation: Optional[int] = None,
 ) -> SplitManifest:
     """Dataset splits: whodunit games pairwise distinct in (suspect
     profiles, culprit); commons R0 pools shuffled into disjoint train and
-    validation parts with the fixed test list."""
+    validation parts with the fixed test list. A size of None takes the
+    environment's default: 210/90/180 games, or 13/7 R0 values."""
     if env == "whodunit":
+        sizes = tuple(d if n is None else n for n, d in zip(sizes, (210, 90, 180)))
         total = sum(sizes)
         specs: list[GameSpec] = []
         seen: set[tuple] = set()
@@ -157,6 +166,8 @@ def gen_dataset(
     if env == "commons":
         import random as _random
 
+        commons_train = 13 if commons_train is None else commons_train
+        commons_validation = 7 if commons_validation is None else commons_validation
         if commons_train + commons_validation > len(COMMONS_TRAIN_POOL):
             raise InfeasibleRequestError("train+validation exceed the R0 pool")
         pool = list(COMMONS_TRAIN_POOL)

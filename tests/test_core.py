@@ -16,6 +16,7 @@ from roguewatch.core import (
     Message,
     MessageKind,
     Outcome,
+    SuspectProfile,
     Trajectory,
     TurnRecord,
     Variant,
@@ -91,13 +92,17 @@ class TestGenerateGame:
 
     def test_json_roundtrip(self):
         spec = generate_game("symmetric", 5, 20, seed=77)
-        assert GameSpec.from_json_obj(json.loads(json.dumps(spec.to_json_obj()))) == spec
+        obj = json.loads(json.dumps(spec.to_json_obj()))
+        assert GameSpec.from_json_obj(obj, spec.schema) == spec
 
     def test_out_of_schema_value_rejected(self):
-        obj = generate_game("asymmetric", 5, 31, seed=3).to_json_obj()
-        obj["suspects"][2]["assignment"]["eye_color"] = "violet"
+        spec = generate_game("asymmetric", 5, 31, seed=3)
+        obj = spec.to_json_obj()
+        k = spec.schema.names.index("eye_color")  # three values: digits 0-2
+        code = obj["suspects"][2]
+        obj["suspects"][2] = code[:k] + "3" + code[k + 1 :]
         with pytest.raises(ValueError, match="eye_color"):
-            GameSpec.from_json_obj(obj)
+            GameSpec.from_json_obj(obj, spec.schema)
 
 
 class TestSharedPairs:
@@ -127,6 +132,108 @@ class TestSharedPairs:
         assert schema.values_of("eye_color") == ("blue", "brown", "green")
         with pytest.raises(KeyError):
             schema.values_of("tail")
+
+
+class TestManifestFormat:
+    """A whodunit manifest states its schema once; each suspect is a digit
+    string whose digit k indexes the value of schema attribute k, and a
+    suspect's id is its 1-based position."""
+
+    @staticmethod
+    def roundtrip(manifest: SplitManifest) -> tuple[dict, SplitManifest]:
+        obj = json.loads(json.dumps(manifest.to_json_obj(), indent=2))
+        return obj, SplitManifest.from_json_obj(obj)
+
+    @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
+    def test_whodunit_roundtrip(self, variant):
+        manifest = gen_dataset("whodunit", sizes=(5, 3, 4), seed=2, variant=variant)
+        obj, decoded = self.roundtrip(manifest)
+        assert decoded == manifest
+        schema = AttributeSchema.for_variant(variant)
+        assert obj["schema"] == [[name, list(values)] for name, values in schema.attributes]
+        game = obj["test"][0]
+        assert sorted(game) == ["culprit_id", "seed", "suspects", "turn_limit", "variant"]
+        spec = manifest.test[0]
+        assert game["suspects"] == [
+            "".join(str(values.index(value)) for (_, values), (_, value)
+                    in zip(schema.attributes, s.assignment))
+            for s in spec.suspects
+        ]
+
+    def test_commons_roundtrip(self):
+        manifest = gen_dataset("commons", seed=4)
+        obj, decoded = self.roundtrip(manifest)
+        assert decoded == manifest
+        assert sorted(obj) == ["env", "test", "train", "validation"]
+        assert obj["train"] == manifest.train
+
+    def test_default_manifest_is_small(self):
+        text = json.dumps(gen_dataset("whodunit", seed=0).to_json_obj(), indent=2)
+        assert len(text.encode()) <= 250_000
+
+    @pytest.mark.parametrize(
+        "edit, attribute",
+        [
+            (lambda code: code[:-1], "watch"),  # too short: the last digit is missing
+            (lambda code: code[:3], "hobby"),
+            (lambda code: code + "0", "watch"),  # too long: past the last attribute
+            (lambda code: "x" + code[1:], "hat"),  # not a digit
+            (lambda code: code[:6] + "\u0661" + code[7:], "eye_color"),  # a non-ASCII digit
+            (lambda code: code[:1] + "2" + code[2:], "mood"),  # two values: digits 0-1
+        ],
+    )
+    def test_bad_suspect_string_names_the_attribute(self, edit, attribute):
+        spec = generate_game("asymmetric", 4, 31, seed=9)
+        obj = spec.to_json_obj()
+        obj["suspects"][1] = edit(obj["suspects"][1])
+        with pytest.raises(ValueError, match=repr(attribute)):
+            GameSpec.from_json_obj(obj, spec.schema)
+
+    def test_mixed_schemas_rejected(self):
+        manifest = SplitManifest(
+            env="whodunit",
+            train=[generate_game("asymmetric", 4, 31, seed=1)],
+            validation=[generate_game("symmetric", 4, 31, seed=1)],
+            test=[],
+        )
+        with pytest.raises(ValueError, match="one attribute schema"):
+            manifest.to_json_obj()
+
+    @staticmethod
+    def wide_manifest(n_values: int) -> SplitManifest:
+        schema = AttributeSchema.of(
+            (("mood", ("happy", "sad")), ("hat", tuple(f"h{i}" for i in range(n_values))))
+        )
+        suspects = tuple(
+            SuspectProfile(i + 1, (schema.pairs[0][i % 2], schema.pairs[1][i]))
+            for i in range(n_values)
+        )
+        spec = GameSpec(schema, suspects, 2, 31, Variant.ASYMMETRIC, seed=0)
+        return SplitManifest(env="whodunit", train=[spec], validation=[], test=[])
+
+    def test_ten_values_fit_a_digit(self):
+        manifest = self.wide_manifest(10)
+        obj, decoded = self.roundtrip(manifest)
+        assert decoded == manifest
+        assert obj["train"][0]["suspects"][-1] == "19"
+
+    def test_more_than_ten_values_rejected(self):
+        with pytest.raises(ValueError, match="'hat' has 11 values"):
+            self.wide_manifest(11).to_json_obj()
+
+    def test_old_format_asks_to_regenerate(self):
+        spec = generate_game("asymmetric", 4, 31, seed=1)
+        old_game = {
+            "variant": "asymmetric",
+            "schema": [[name, list(values)] for name, values in spec.schema.attributes],
+            "suspects": [{"id": s.suspect_id, "assignment": s.as_dict()} for s in spec.suspects],
+            "culprit_id": spec.culprit_id,
+            "turn_limit": 31,
+            "seed": 1,
+        }
+        old = {"env": "whodunit", "train": [old_game], "validation": [], "test": []}
+        with pytest.raises(ValueError, match="regenerate"):
+            SplitManifest.from_json_obj(old)
 
 
 class TestChannel:

@@ -161,10 +161,11 @@ def test_golden_ranked_grid(tmp_path):
 
 
 # sha256 of the manifest JSON ``roguewatch gen-dataset --seed 0`` writes with
-# the default split sizes (210/90/180 games, 10 suspects), per variant.
+# the default split sizes (210/90/180 games, 10 suspects), per variant, in the
+# compact format: the schema once, each suspect one digit string.
 MANIFEST_SHA = {
-    "asymmetric": "f68cc948c39f46bbca9a27cda7e0d84e3b4185fc5d80355db5925abeffe68860",
-    "symmetric": "7929257bc13d2ed8fc9429d17f9d842a9f07d0a3f4ae78b2acf21a00cea6d62b",
+    "asymmetric": "4ccd88794648d11da4c01d5ade90533c7db3d39dee6cf6e7c96c6f8b2eec322a",
+    "symmetric": "75961a815f314344b96390240084a69731c27f9aa84e8372fb985b468d5ddacd",
 }
 
 

@@ -739,3 +739,29 @@ class TestCli:
         assert cli_main(["summarize", str(report_path)]) == 0
         captured = capsys.readouterr()
         assert "success_rate" in captured.out
+
+    def test_run_from_manifest_file_matches_in_memory(self, tmp_path):
+        manifest_path = tmp_path / "manifest.json"
+        args = ["--suspects", "6", "--train", "0", "--validation", "0", "--test", "8"]
+        cli_main(["gen-dataset", *args, "--seed", "7", "--out", str(manifest_path)])
+        config_path = tmp_path / "rogue.json"
+        config_obj = {"agents": {"accuser": {"type": "rogue", "epsilon": 0.3}}}
+        config_path.write_text(json.dumps(config_obj))
+        cli_main(["run", "--config", str(config_path), "--manifest", str(manifest_path),
+                  "--out", str(tmp_path / "file")])
+        in_memory = gen_dataset("whodunit", sizes=(0, 0, 8), seed=7, n_suspects=6)
+        run_experiment(ExperimentConfig.from_json_obj(config_obj), in_memory,
+                       output_dir=tmp_path / "memory")
+        from_file = (tmp_path / "file" / "trajectories.jsonl").read_bytes()
+        assert from_file == (tmp_path / "memory" / "trajectories.jsonl").read_bytes()
+        assert from_file.count(b'"outcome"') == 8
+
+    def test_gen_dataset_default_sizes_per_env(self, tmp_path):
+        commons_path = tmp_path / "commons.json"
+        assert cli_main(["gen-dataset", "--env", "commons", "--out", str(commons_path)]) == 0
+        commons = json.loads(commons_path.read_text())
+        assert (len(commons["train"]), len(commons["validation"])) == (13, 7)
+        whodunit_path = tmp_path / "whodunit.json"
+        assert cli_main(["gen-dataset", "--train", "3", "--out", str(whodunit_path)]) == 0
+        whodunit = SplitManifest.from_json_obj(json.loads(whodunit_path.read_text()))
+        assert [len(whodunit.split(n)) for n in ("train", "validation", "test")] == [3, 90, 180]
