@@ -488,7 +488,10 @@ def run_experiment(
 
     Returns the report dict; optionally writes trajectories.jsonl and
     report.json under output_dir. A game that raises is logged, excluded
-    from metrics and counted as invalid; the other games still count.
+    from metrics and counted as invalid; the other games still count. A
+    config that cannot run raises ValueError before any game runs: an env
+    other than the manifest's, an intervention the env does not have, an
+    unknown backend type, or an intervention with a monitor that has no tau.
 
     Games run on ``parallelism`` threads only when some role is played by
     an ``llm`` backend, whose games wait on the network. Every other
@@ -497,6 +500,8 @@ def run_experiment(
     are kept in game order either way, so the output bytes are the same.
     """
     kind = config.intervention.kind
+    if config.env != manifest.env:
+        raise ValueError(f"config env {config.env!r} does not match manifest env {manifest.env!r}")
     if config.env == "whodunit" and kind is InterventionKind.ROUND_RESET:
         raise ValueError("round-reset only applies to the commons environment")
     if config.env == "commons" and kind in (InterventionKind.FULL_RESET, InterventionKind.RESAMPLE):
@@ -506,6 +511,10 @@ def run_experiment(
             role: MonitorModel.from_json(Path(path).read_text())
             for role, path in config.monitor["paths"].items()
         }
+    if kind is not InterventionKind.NONE:
+        for role, model in (monitors or {}).items():
+            if model.tau is None:
+                raise ValueError(f"the {role!r} monitor has no tau to trigger on")
     games = manifest.split(split)
     kinds = {spec.get("type", "scripted") for spec in config.agents.values()}
     if config.env == "whodunit" and not kinds <= BACKEND_TYPES:

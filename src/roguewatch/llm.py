@@ -16,9 +16,7 @@ import math
 import os
 import re
 import urllib.error
-import urllib.request
 from dataclasses import dataclass
-from importlib import resources
 from typing import Callable, Optional, Sequence
 
 from .core import MessageKind
@@ -49,6 +47,8 @@ class LlmConfig:
 
 
 def _http_transport(config: LlmConfig, payload: dict) -> dict:
+    import urllib.request  # with http.client, email and ssl: loaded on the first request
+
     headers = {"Content-Type": "application/json"}
     api_key = os.environ.get(config.api_key_env, "")
     if api_key:
@@ -164,6 +164,8 @@ def extract_positions(
 
 @functools.lru_cache(maxsize=8)  # the package ships five templates
 def _load_prompt(name: str) -> str:
+    from importlib import resources
+
     return resources.files("roguewatch.prompts").joinpath(name).read_text()
 
 

@@ -13,6 +13,10 @@ degree; each cell's normal equations and validation design are slices of
 that. Products, sums and the solve are elementwise numpy, with no BLAS or
 LAPACK call, so a fitted monitor's bytes do not depend on the BLAS thread
 count.
+
+Only fitting and the grid search import numpy, each inside its function.
+Loading and scoring a monitor stay pure Python, so a command that never
+fits one does not pay numpy's import time and memory.
 """
 
 from __future__ import annotations
@@ -24,12 +28,13 @@ import math
 import operator
 import random
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
 from .errors import InsufficientDataError, SingularSystemError
 from .uncertainty import FeatureVector
+
+if TYPE_CHECKING:
+    import numpy as np
 
 STATISTIC_NAMES = ("entropy", "varentropy", "kurtosis")
 
@@ -82,6 +87,8 @@ def design_matrix(
     extrapolate) and expand the rows into every monomial up to ``degree``,
     in ``_monomials`` order. The result is column-major: each monomial's
     column is contiguous, and ``.T`` holds them as rows without a copy."""
+    import numpy as np
+
     lows, highs = np.array(bounds, dtype=float).T
     spans = highs - lows
     scaled = -1.0 + 2.0 * (raw - lows) / np.where(spans == 0.0, 1.0, spans)
@@ -97,6 +104,8 @@ def design_matrix(
 
 def _raw_table(games: Sequence[GameRecord], mask: tuple[str, ...]) -> np.ndarray:
     """One row of raw inputs per turn of ``games``, in game order."""
+    import numpy as np
+
     read = _inputs(mask)
     rows = [read(fv) for game in games for fv in game.features]
     return np.array(rows, dtype=float).reshape(len(rows), len(mask) + 1)
@@ -185,6 +194,8 @@ def _columns(mask: tuple[str, ...], degree: int) -> np.ndarray:
     inputs, so a cell term is the full term with the same factors
     multiplied in the same order and its design column is the full column
     bit for bit."""
+    import numpy as np
+
     inputs = _input_indices(mask)
     full = {term: j for j, term in enumerate(_monomials(len(FULL_MASK) + 1, TOP_DEGREE))}
     columns = np.array(
@@ -212,6 +223,8 @@ class NormalSystem:
 
     @classmethod
     def from_games(cls, train: Sequence[GameRecord]) -> "NormalSystem":
+        import numpy as np
+
         raw = _raw_table(train, FULL_MASK)
         if not raw.shape[0]:
             raise InsufficientDataError("no monitored turns in the training games")
@@ -229,6 +242,8 @@ def _cholesky_solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     system with ``alpha > 0``, or a full-rank one with ``alpha == 0``).
     Every inner product is an elementwise multiply and a numpy ``sum``, so
     the bits do not depend on a BLAS or LAPACK build or thread count."""
+    import numpy as np
+
     n = len(b)
     lower = np.zeros((n, n))
     for j in range(n):
@@ -256,6 +271,8 @@ def fit_monitor(
 ) -> MonitorModel:
     """Fit one (mask, degree) cell on the training turns behind ``system``,
     from the slice of its gram and right-hand side. No threshold yet."""
+    import numpy as np
+
     if degree not in DEGREES:
         raise ValueError(f"degree must be in {DEGREES}")
     mask = tuple(feature_mask)
@@ -290,6 +307,8 @@ def _best_threshold(
     failed game counts for the monitor when it triggers, a successful game
     against it.
     """
+    import numpy as np
+
     scores = np.clip((design * np.array(model.weights)).sum(axis=1), 0.0, 1.0)
     counts = np.array([len(game.features) for game in validation])
     played = counts > 0

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import statistics
 import urllib.error
+from dataclasses import replace
 
 import pytest
 
@@ -145,6 +146,19 @@ class TestRunExperiment:
         )
         with pytest.raises(ValueError):
             run_experiment(commons_config, commons_manifest, split="test")
+
+    @pytest.mark.parametrize(
+        "config,manifest",
+        [
+            (ExperimentConfig(env="commons"), small_manifest(1, 1, 5)),
+            (scripted_config(), gen_dataset("commons", seed=0)),
+        ],
+        ids=["commons-config-whodunit-manifest", "whodunit-config-commons-manifest"],
+    )
+    def test_config_manifest_env_mismatch_rejected(self, config, manifest, tmp_path):
+        with pytest.raises(ValueError, match="'commons'.*'whodunit'|'whodunit'.*'commons'"):
+            run_experiment(config, manifest, split="test", output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
 
     def test_commons_round_reset_with_random_monitor(self):
         manifest = gen_dataset("commons", seed=1)
@@ -507,6 +521,29 @@ class TestMonitoredRuns:
         )
         assert report["trigger_histogram"]
         assert all(int(turn) >= 1 for turn in report["trigger_histogram"])
+
+    def test_monitor_without_tau_rejected(self, tmp_path):
+        untuned = replace(self.handmade_monitor(), tau=None)
+        path = tmp_path / "untuned.json"
+        path.write_text(untuned.to_json())
+        agents = {"accuser": {"type": "rogue", "epsilon": 0.5}, "intel": {"type": "scripted"}}
+        reset = InterventionPolicy(kind=InterventionKind.FULL_RESET, cap_per_role=1)
+        by_argument = ExperimentConfig(agents=agents, intervention=reset)
+        by_path = ExperimentConfig(
+            agents=agents,
+            monitor={"source": "models", "paths": {"accuser": str(path)}},
+            intervention=reset,
+        )
+        manifest = small_manifest(1, 1, 5)
+        for config, monitors in ((by_argument, {"accuser": untuned}), (by_path, None)):
+            with pytest.raises(ValueError, match="'accuser'"):
+                run_experiment(
+                    config, manifest, split="test", output_dir=tmp_path / "out", monitors=monitors
+                )
+            assert not (tmp_path / "out").exists()
+        # Without an intervention the monitor is never scored, so no tau is needed.
+        plain = replace(by_path, intervention=InterventionPolicy())
+        assert run_experiment(plain, manifest, split="test")["invalid"] == 0
 
     @pytest.mark.parametrize(
         "config,manifest",
