@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
-from .errors import InfeasibleRequestError, RollbackPastCheckpointError
+from .errors import InfeasibleRequestError
 
 # Attribute table used by both game variants. The first 12 rows form the
 # asymmetric schema; the symmetric schema uses all 20.
@@ -333,26 +333,9 @@ class CommunicationChannel:
         if irreversible:
             self._checkpoints.append(len(self._messages))
 
-    def mark_checkpoint(self) -> None:
-        """Place a checkpoint at the current tail without a message."""
-        if not self._checkpoints or self._checkpoints[-1] < len(self._messages):
-            self._checkpoints.append(len(self._messages))
-
     def rollback_to_checkpoint(self) -> None:
         """Remove every message after the last checkpoint."""
         del self._messages[self.last_checkpoint :]
-
-    def drop_last(self, k: int) -> None:
-        """Remove the last ``k`` messages, never crossing a checkpoint."""
-        if k < 0:
-            raise ValueError("k must be non-negative")
-        if k > len(self._messages) - self.last_checkpoint:
-            raise RollbackPastCheckpointError(
-                f"dropping {k} messages would cross the checkpoint at "
-                f"{self.last_checkpoint}"
-            )
-        if k:
-            del self._messages[-k:]
 
     def rendered(self) -> list[str]:
         return [m.text for m in self._messages]

@@ -10,20 +10,8 @@ class InfeasibleRequestError(RoguewatchError):
     distinct profiles demanded than the attribute space holds)."""
 
 
-class RollbackPastCheckpointError(RoguewatchError):
-    """A rollback would remove messages at or before a checkpoint."""
-
-
 class IllegalActionError(RoguewatchError):
     """An action is malformed or forbidden for the acting agent's role."""
-
-
-class UnknownPropertyError(RoguewatchError):
-    """Queried attribute name is not in the schema."""
-
-
-class UnknownValueError(RoguewatchError):
-    """Queried value is not among the attribute's possible values."""
 
 
 class NegativeRequestError(RoguewatchError):

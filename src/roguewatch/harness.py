@@ -41,6 +41,7 @@ from .core import (
     Outcome,
     Trajectory,
     TurnRecord,
+    Variant,
     derive_seed,
     generate_game,
     parse_trajectory_jsonl,
@@ -65,6 +66,7 @@ from .uncertainty import FeatureVector, extract_features
 from .whodunit import (
     ROLE_ACCUSER,
     ROLE_INTEL,
+    ROLE_PLAYER,
     WhodunitState,
     consume_turn,
     new_game,
@@ -76,7 +78,18 @@ logger = logging.getLogger("roguewatch.harness")
 
 Monitor = MonitorModel | RandomMonitor
 
-BACKEND_TYPES = frozenset({"scripted", "rogue", "llm"})
+BACKEND_KEYS = {
+    "scripted": {"type", "broad_for_specific"},
+    "rogue": {"type", "broad_for_specific", "epsilon", "behaviors", "clean_band", "corrupt_band"},
+    "llm": {"type", "config"},
+}
+MONITOR_KEYS = {"none": {"source"}, "random": {"source", "p"}, "models": {"source", "paths"}}
+ENV_INTERVENTIONS = {
+    "whodunit": {"none", "full-reset", "resample"},
+    "commons": {"none", "round-reset"},
+}
+VARIANT_ROLES = {"asymmetric": (ROLE_ACCUSER, ROLE_INTEL), "symmetric": (ROLE_PLAYER,)}
+COMMONS_POLICIES = {"sustainable": SustainableHarvester, "greedy": GreedyHarvester}
 COMMONS_TRAIN_POOL = tuple(105 + 5 * k for k in range(20))
 COMMONS_TEST_R0 = (100,) + tuple(range(210, 301, 5))
 
@@ -209,12 +222,60 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
+        for key in obj:
+            _one_of("config", key, {f.name for f in fields(cls)})
         kwargs = dict(obj)
         if "intervention" in kwargs:
             kwargs["intervention"] = InterventionPolicy.from_json_obj(kwargs["intervention"])
         if "commons_policies" in kwargs:
             kwargs["commons_policies"] = tuple(kwargs["commons_policies"])
         return cls(**kwargs)
+
+
+def _one_of(key: str, value: object, allowed: Iterable) -> None:
+    if value not in allowed:
+        raise ValueError(f"{key}: {value!r} is not one of {sorted(allowed)}")
+
+
+def _own_check(key: str, build: Callable[[], object]) -> None:
+    """Run a constructor's own checks, naming ``key`` in what they raise."""
+    try:
+        build()
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
+
+
+def check_config(config: ExperimentConfig) -> None:
+    """Refuse a config that cannot run as written, with a ValueError naming
+    the key. It reads the config only, so ``run_experiment`` calls it before
+    any game runs."""
+    _one_of("env", config.env, ENV_INTERVENTIONS)
+    _own_check("variant", lambda: Variant(config.variant))
+    _one_of("intervention.kind", config.intervention.kind.value, ENV_INTERVENTIONS[config.env])
+    commons = config.env == "commons"
+    roles = ("harvester",) if commons else VARIANT_ROLES[Variant(config.variant).value]
+    for role, spec in config.agents.items():
+        _one_of("agents", role, () if commons else roles)
+        key, backend = f"agents.{role}", spec.get("type", "scripted")
+        _one_of(f"{key}.type", backend, BACKEND_KEYS)
+        for name in spec:
+            _one_of(key, name, BACKEND_KEYS[backend])
+        if backend == "rogue":
+            _own_check(key, lambda: RogueProfile.from_json_obj({"epsilon": 0.0, **spec}))
+        elif backend == "llm":
+            from .llm import LlmConfig
+
+            _own_check(f"{key}.config", lambda: LlmConfig.from_json_obj(spec["config"]))
+    source = config.monitor.get("source", "none")
+    _one_of("monitor.source", source, MONITOR_KEYS)
+    for name in config.monitor:
+        _one_of("monitor", name, MONITOR_KEYS[source])
+    if source == "random":
+        _own_check("monitor.p", lambda: RandomMonitor(config.monitor["p"], seed=0))
+    for role in config.monitor.get("paths", {}):
+        _one_of("monitor.paths", role, roles)
+    for name in config.commons_policies:
+        _one_of("commons_policies", name, COMMONS_POLICIES)
 
 
 def build_whodunit_backends(
@@ -240,7 +301,7 @@ def build_whodunit_backends(
                 spec,
                 seed=derive_seed(game_seed, "rogue", agent_id),
             )
-        elif kind == "llm":
+        else:
             from .llm import LlmAgent, LlmClient, LlmConfig
 
             partner = ", ".join(a for a in state.order if a != agent_id)
@@ -250,8 +311,6 @@ def build_whodunit_backends(
                 agent_id=agent_id,
                 partner=partner,
             )
-        else:
-            raise ValueError(f"unknown backend type {kind!r}")
     return backends
 
 
@@ -399,10 +458,10 @@ def run_commons_trial(
         m=config.commons_m,
         n_agents=len(config.commons_policies),
     )
-    policies = []
-    for index, kind in enumerate(config.commons_policies):
-        cls = SustainableHarvester if kind == "sustainable" else GreedyHarvester
-        policies.append(cls(f"p{index}", commons_config.n_agents))
+    policies = [
+        COMMONS_POLICIES[kind](f"p{index}", commons_config.n_agents)
+        for index, kind in enumerate(config.commons_policies)
+    ]
 
     model = _game_monitors(config, game_seed, ("harvester",), monitors).get("harvester")
     if config.intervention.kind is not InterventionKind.ROUND_RESET:
@@ -489,9 +548,11 @@ def run_experiment(
     Returns the report dict; optionally writes trajectories.jsonl and
     report.json under output_dir. A game that raises is logged, excluded
     from metrics and counted as invalid; the other games still count. A
-    config that cannot run raises ValueError before any game runs: an env
-    other than the manifest's, an intervention the env does not have, an
-    unknown backend type, or an intervention with a monitor that has no tau.
+    config that cannot run raises ValueError naming the key before any game
+    runs and before anything is written: whatever ``check_config`` refuses,
+    an env or variant other than the manifest's, a ``models`` monitor with
+    no ``paths`` and no ``monitors`` passed in, or an intervention with a
+    monitor that has no tau.
 
     Games run on ``parallelism`` threads only when some role is played by
     an ``llm`` backend, whose games wait on the network. Every other
@@ -499,28 +560,26 @@ def run_experiment(
     interpreter lock, so those games run in the calling thread. Results
     are kept in game order either way, so the output bytes are the same.
     """
-    kind = config.intervention.kind
+    check_config(config)
     if config.env != manifest.env:
         raise ValueError(f"config env {config.env!r} does not match manifest env {manifest.env!r}")
-    if config.env == "whodunit" and kind is InterventionKind.ROUND_RESET:
-        raise ValueError("round-reset only applies to the commons environment")
-    if config.env == "commons" and kind in (InterventionKind.FULL_RESET, InterventionKind.RESAMPLE):
-        raise ValueError(f"{kind.value} does not apply to the commons environment")
+    games = manifest.split(split)
+    variant = Variant(config.variant).value
+    others = sorted({spec.variant.value for spec in games if config.env == "whodunit"} - {variant})
+    if others:
+        raise ValueError(f"config variant {variant!r} differs from the manifest's {others[0]!r}")
     if config.monitor.get("source") == "models" and monitors is None:
+        if "paths" not in config.monitor:
+            raise ValueError("monitor.paths: a models monitor needs paths or monitors passed in")
         monitors = {
             role: MonitorModel.from_json(Path(path).read_text())
             for role, path in config.monitor["paths"].items()
         }
-    if kind is not InterventionKind.NONE:
+    if config.intervention.kind is not InterventionKind.NONE:
         for role, model in (monitors or {}).items():
             if model.tau is None:
                 raise ValueError(f"the {role!r} monitor has no tau to trigger on")
-    games = manifest.split(split)
-    kinds = {spec.get("type", "scripted") for spec in config.agents.values()}
-    if config.env == "whodunit" and not kinds <= BACKEND_TYPES:
-        # A config error, not a bad game: refuse it before any game runs.
-        raise ValueError(f"unknown backend type(s) {sorted(kinds - BACKEND_TYPES)}")
-    threaded = config.parallelism > 1 and "llm" in kinds
+    threaded = config.parallelism > 1 and "llm" in {s.get("type") for s in config.agents.values()}
     jsonl_chunks: list[str] = []
     per_rep: list[dict] = []
     histogram: dict[int, int] = {}

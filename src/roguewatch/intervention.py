@@ -46,6 +46,10 @@ class InterventionPolicy:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InterventionPolicy":
+        unknown = sorted(set(obj) - {"kind", "cap", "resample_temperature"})
+        missing = sorted({"kind", "cap"} - set(obj))
+        if unknown or missing:
+            raise ValueError(f"intervention: unknown key(s) {unknown}, missing key(s) {missing}")
         return cls(
             kind=InterventionKind(obj["kind"]),
             cap_per_role=obj["cap"],

@@ -388,26 +388,3 @@ class RandomMonitor:
     def predict_success(self, features: Optional[FeatureVector]) -> float:
         return self._rng.random()
 
-
-def expected_random_gain(p: float, games: Sequence[GameRecord]) -> float:
-    """Closed-form expected gain of a random monitor: a game with n
-    monitored turns triggers with probability 1 - (1-p)^n."""
-    if not games:
-        return 0.0
-    total = 0.0
-    for game in games:
-        prob = 1.0 - (1.0 - p) ** len(game.features)
-        total += -prob if game.label else prob
-    return 100.0 * total / len(games)
-
-
-def calibrate_random_monitor(
-    games: Sequence[GameRecord], ps: Sequence[float] = DEFAULT_TAUS
-) -> tuple[float, float]:
-    """Pick the trigger probability maximizing expected validation gain."""
-    best_p, best_gain = 0.0, -math.inf
-    for p in ps:
-        gain = expected_random_gain(p, games)
-        if gain > best_gain:
-            best_p, best_gain = p, gain
-    return best_p, best_gain

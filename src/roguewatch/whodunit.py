@@ -22,12 +22,7 @@ from .core import (
     Outcome,
     Variant,
 )
-from .errors import (
-    IllegalActionError,
-    InfeasibleRequestError,
-    UnknownPropertyError,
-    UnknownValueError,
-)
+from .errors import IllegalActionError, InfeasibleRequestError
 
 ROLE_ACCUSER = "accuser"
 ROLE_INTEL = "intel"
@@ -198,15 +193,6 @@ def new_game(
     return WhodunitState(
         spec=spec, channel=CommunicationChannel(), knowledge=knowledge, order=order
     )
-
-
-def match_suspects(spec: GameSpec, prop: str, value: str) -> list[int]:
-    """Ids of suspects whose profile assigns ``value`` to ``prop``, ascending."""
-    if prop not in spec.schema.names:
-        raise UnknownPropertyError(prop)
-    if value not in spec.schema.values_of(prop):
-        raise UnknownValueError(f"{prop}={value}")
-    return [s.suspect_id for s in spec.suspects if s.value_of(prop) == value]
 
 
 def _require(condition: bool, reason: str) -> None:

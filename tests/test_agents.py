@@ -163,17 +163,14 @@ class TestScriptedPair:
         assert 0 < inside < 6  # both partition sides non-empty
 
     def test_oracle_messages_match_ground_truth_by_replay(self):
-        from roguewatch.whodunit import match_suspects
-
         config = scripted_config()
         for seed in range(10):
             spec = generate_game("asymmetric", 6, 31, seed=seed)
             trajectory = run_whodunit_game(spec, config, game_seed=seed)
             for turn in trajectory.turns:
                 if turn.action.get("kind") == "respond-broad":
-                    expected = match_suspects(
-                        spec, turn.action["property"], turn.action["value"]
-                    )
+                    prop, value = turn.action["property"], turn.action["value"]
+                    expected = [s.suspect_id for s in spec.suspects if s.value_of(prop) == value]
                     assert turn.action["characters"] == expected
 
     def test_accuser_singleton_candidates_accuse(self):

@@ -24,7 +24,7 @@ from roguewatch.core import (
     generate_game,
     parse_trajectory_jsonl,
 )
-from roguewatch.errors import InfeasibleRequestError, RollbackPastCheckpointError
+from roguewatch.errors import InfeasibleRequestError
 from roguewatch.harness import SplitManifest, gen_dataset
 
 
@@ -260,30 +260,11 @@ class TestChannel:
     def test_rollback_to_checkpoint_keeps_prefix(self):
         ch = CommunicationChannel()
         for i in range(3):
-            ch.append(msg(i))
-        ch.mark_checkpoint()
+            ch.append(msg(i), irreversible=i == 2)
         ch.append(msg(3))
         ch.append(msg(4))
         ch.rollback_to_checkpoint()
         assert ch.rendered() == ["m0", "m1", "m2"]
-
-    def test_drop_last_within_round(self):
-        ch = CommunicationChannel()
-        for i in range(3):
-            ch.append(msg(i))
-        ch.mark_checkpoint()
-        ch.append(msg(3))
-        ch.append(msg(4))
-        ch.drop_last(2)
-        assert len(ch) == 3
-
-    def test_drop_last_past_checkpoint_rejected(self):
-        ch = CommunicationChannel()
-        ch.append(msg(0))
-        ch.mark_checkpoint()
-        ch.append(msg(1))
-        with pytest.raises(RollbackPastCheckpointError):
-            ch.drop_last(2)
 
     def test_prefix_immutable_under_random_ops(self):
         # Property: for any sequence of appends and rollbacks, the prefix up
@@ -298,15 +279,8 @@ class TestChannel:
                 if op < 0.5:
                     ch.append(msg(counter), irreversible=rng.random() < 0.2)
                     counter += 1
-                elif op < 0.75:
-                    ch.rollback_to_checkpoint()
                 else:
-                    room = len(ch) - ch.last_checkpoint
-                    k = rng.randint(0, room + 1)
-                    try:
-                        ch.drop_last(k)
-                    except RollbackPastCheckpointError:
-                        assert k > room
+                    ch.rollback_to_checkpoint()
                 assert ch.rendered()[: len(frozen)] == frozen
                 assert list(ch.checkpoints) == sorted(set(ch.checkpoints))
                 assert all(c <= len(ch) for c in ch.checkpoints)

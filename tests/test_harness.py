@@ -17,6 +17,7 @@ from roguewatch.errors import ApiError, InsufficientDataError
 from roguewatch.harness import (
     COMMONS_TEST_R0,
     ExperimentConfig,
+    check_config,
     SplitManifest,
     gen_dataset,
     records_from_games,
@@ -28,6 +29,8 @@ from roguewatch.harness import (
 from roguewatch.intervention import InterventionKind, InterventionPolicy
 from roguewatch.monitor import MonitorModel
 from roguewatch.uncertainty import FeatureVector
+
+from .test_golden import GOLDEN
 
 
 def small_manifest(train=6, val=3, test=4, suspects=5) -> SplitManifest:
@@ -173,6 +176,108 @@ class TestRunExperiment:
         # Discussion rollback cannot change harvest dynamics for scripted agents.
         assert a["mean"]["efficiency"] == b["mean"]["efficiency"]
         assert a["mean"]["survival_time"] == b["mean"]["survival_time"]
+
+
+ROGUE = {"type": "rogue", "epsilon": 0.3}
+LLM_CONFIG = {"endpoint": "http://127.0.0.1:9/v1", "model": "m"}
+SUSTAINABLE = ["sustainable"] * 3
+MANIFESTS = {
+    "asymmetric": lambda: small_manifest(1, 1, 2),
+    "symmetric": lambda: gen_dataset("whodunit", sizes=(0, 0, 2), seed=1, variant="symmetric"),
+    "commons": lambda: gen_dataset("commons", seed=0),
+}
+
+
+class TestConfigGate:
+    """A config that cannot run as written is refused by key, before any
+    game runs and before anything is written."""
+
+    @pytest.mark.parametrize(
+        "obj,manifest,match",
+        [
+            ({"agent": {}}, "asymmetric", "config: 'agent'"),
+            ({"env": "whodunnit"}, "asymmetric", "env: 'whodunnit'"),
+            ({"variant": "asym"}, "asymmetric", "variant: 'asym'"),
+            (
+                {"variant": "symmetric", "agents": {"player": {"type": "rogue", "epsilon": 0.5}}},
+                "asymmetric",
+                "variant 'symmetric' differs from the manifest's 'asymmetric'",
+            ),
+            ({"intervention": {"kind": "full-reset", "caps": 1}}, "asymmetric", r"\['caps'\]"),
+            ({"intervention": {"kind": "full-reset"}}, "asymmetric", r"missing key\(s\) \['cap'\]"),
+            ({"intervention": {"kind": "round-reset", "cap": 1}}, "asymmetric",
+             "intervention.kind: 'round-reset'"),
+            ({"agents": {"acuser": ROGUE}}, "asymmetric", "agents: 'acuser'"),
+            ({"variant": "symmetric", "agents": {"accuser": ROGUE}}, "symmetric",
+             "agents: 'accuser'"),
+            ({"agents": {"accuser": {"type": "rouge"}}}, "asymmetric",
+             "agents.accuser.type: 'rouge'"),
+            ({"agents": {"accuser": {"type": "rogue", "epsilom": 0.3}}}, "asymmetric",
+             "agents.accuser: 'epsilom'"),
+            ({"agents": {"accuser": {"type": "rogue", "epsilon": 1.5}}}, "asymmetric",
+             "agents.accuser: epsilon must be in"),
+            ({"agents": {"intel": {"type": "scripted", "broad_for_specifc": False}}},
+             "asymmetric", "agents.intel: 'broad_for_specifc'"),
+            ({"agents": {"accuser": {"type": "llm", "config": {**LLM_CONFIG, "timout": 5}}}},
+             "asymmetric", "agents.accuser.config: .*'timout'"),
+            ({"agents": {"accuser": {"type": "llm"}}}, "asymmetric", "agents.accuser.config"),
+            (
+                {
+                    "agents": {"accuser": ROGUE},
+                    "monitor": {"source": "model", "paths": {"accuser": "accuser.json"}},
+                    "intervention": {"kind": "full-reset", "cap": 1},
+                },
+                "asymmetric",
+                "monitor.source: 'model'",
+            ),
+            ({"monitor": {"source": "random", "p": 7}}, "asymmetric", "monitor.p: p must be"),
+            ({"monitor": {"source": "random"}}, "asymmetric", "monitor.p"),
+            ({"monitor": {"source": "random", "p": 0.1, "paths": {}}}, "asymmetric",
+             "monitor: 'paths'"),
+            ({"monitor": {"source": "models", "paths": {"player": "p.json"}}}, "asymmetric",
+             "monitor.paths: 'player'"),
+            ({"monitor": {"source": "models"}}, "asymmetric", "monitor.paths"),
+            ({"env": "commons", "commons_policies": ["sustainble", *SUSTAINABLE]}, "commons",
+             "commons_policies: 'sustainble'"),
+            ({"env": "commons", "agents": {"harvester": {"type": "scripted"}}}, "commons",
+             "agents: 'harvester'"),
+        ],
+    )
+    def test_refused_by_key(self, obj, manifest, match, tmp_path):
+        with pytest.raises(ValueError, match=match):
+            config = ExperimentConfig.from_json_obj(obj)
+            run_experiment(config, MANIFESTS[manifest](), split="test", output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "obj",
+        [entry[2] for entry in GOLDEN.values()]
+        + [
+            {
+                "variant": "symmetric",
+                "agents": {"player": ROGUE},
+                "monitor": {"source": "models", "paths": {"player": "player.json"}},
+                "intervention": {"kind": "full-reset", "cap": 1},
+            },
+            {
+                "agents": {"accuser": ROGUE},
+                "monitor": {"source": "models", "paths": {"accuser": "accuser.json"}},
+                "intervention": {"kind": "full-reset", "cap": 1},
+            },
+            {
+                "agents": {
+                    "accuser": {
+                        "type": "llm",
+                        "config": {**LLM_CONFIG, "api_key_env": "UNSET_KEY", "timeout": 30.0},
+                    }
+                },
+                "parallelism": 2,
+            },
+            {"env": "commons", "monitor": {"source": "models", "paths": {"harvester": "h.json"}}},
+        ],
+    )
+    def test_valid_configs_pass(self, obj):
+        check_config(ExperimentConfig.from_json_obj(obj))
 
 
 class TestTraining:

@@ -21,9 +21,7 @@ from roguewatch.monitor import (
     _best_threshold,
     _raw_table,
     all_feature_masks,
-    calibrate_random_monitor,
     design_matrix,
-    expected_random_gain,
     fit_monitor,
     grid_search,
     grid_search_ranked,
@@ -323,19 +321,3 @@ class TestRandomMonitor:
         n = 10_000
         hits = sum(monitor.predict_success(None) < monitor.tau for _ in range(n))
         assert abs(hits / n - 0.1) < 0.01
-
-    def test_calibration_prefers_triggering_when_failures_dominate(self):
-        games = [GameRecord(features=(fv(turn=1),), label=False) for _ in range(8)]
-        games += [GameRecord(features=(fv(turn=1),), label=True) for _ in range(2)]
-        p, gain = calibrate_random_monitor(games)
-        assert p == 1.0
-        assert gain == pytest.approx(60.0)
-
-    def test_expected_gain_closed_form(self):
-        games = [
-            GameRecord(features=(fv(turn=1), fv(turn=2)), label=False),
-            GameRecord(features=(fv(turn=1),), label=True),
-        ]
-        p = 0.5
-        expected = 100.0 * ((1 - 0.25) - 0.5) / 2
-        assert expected_random_gain(p, games) == pytest.approx(expected)

@@ -14,17 +14,11 @@ from roguewatch.core import (
     Variant,
     generate_game,
 )
-from roguewatch.errors import (
-    IllegalActionError,
-    InfeasibleRequestError,
-    UnknownPropertyError,
-    UnknownValueError,
-)
+from roguewatch.errors import IllegalActionError, InfeasibleRequestError
 from roguewatch.whodunit import (
     AsymAction,
     SymAction,
     deal_symmetric_facts,
-    match_suspects,
     new_game,
     parse_rendered,
     step,
@@ -49,41 +43,6 @@ def tiny_spec(hats=("brown", "black", "brown"), culprit=2, moods=("happy", "sad"
         variant=Variant.ASYMMETRIC,
         seed=0,
     )
-
-
-class TestMatchSuspects:
-    def test_matching_ids_ascending(self):
-        spec = tiny_spec()
-        assert match_suspects(spec, "hat", "brown") == [1, 3]
-
-    def test_unknown_value(self):
-        with pytest.raises(UnknownValueError):
-            match_suspects(tiny_spec(), "hat", "green")
-
-    def test_unknown_property(self):
-        with pytest.raises(UnknownPropertyError):
-            match_suspects(tiny_spec(), "sleeves", "long")
-
-    def test_no_match_is_empty(self):
-        schema = AttributeSchema(
-            (("hat", ("brown", "black")), ("eye_color", ("blue", "brown", "green")))
-        )
-        profile_cls = type(tiny_spec().suspects[0])
-        suspects = tuple(
-            profile_cls(suspect_id=i + 1, assignment=(("hat", h), ("eye_color", e)))
-            for i, (h, e) in enumerate(
-                [("brown", "blue"), ("black", "blue"), ("brown", "brown")]
-            )
-        )
-        spec = GameSpec(
-            schema=schema,
-            suspects=suspects,
-            culprit_id=1,
-            turn_limit=10,
-            variant=Variant.ASYMMETRIC,
-            seed=0,
-        )
-        assert match_suspects(spec, "eye_color", "green") == []
 
 
 class TestTemplates:
