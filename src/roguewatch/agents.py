@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from .core import GameSpec, MessageKind
-from .whodunit import AsymAction, KnowledgeSet, SymAction, parse_rendered
+from .whodunit import ROLE_ACCUSER, Action, KnowledgeSet, parse_rendered
 
 CLEAN_BAND = (0.0, 0.2)
 CORRUPT_BAND = (0.8, math.log(10.0))
@@ -29,6 +29,7 @@ BEHAVIOR_HALLUCINATE = "hallucinate-fact"
 BEHAVIOR_REPEAT = "repeat-query"
 BEHAVIOR_WRONG_ACCUSATION = "wrong-accusation"
 BEHAVIOR_DROP_FACT = "drop-known-fact"
+BEHAVIORS = (BEHAVIOR_HALLUCINATE, BEHAVIOR_REPEAT, BEHAVIOR_WRONG_ACCUSATION, BEHAVIOR_DROP_FACT)
 
 _ONE_HOT_10 = (1.0,) + (0.0,) * 9
 
@@ -48,7 +49,7 @@ class AgentObservation:
 
 @dataclass
 class AgentDecision:
-    action: object
+    action: Action
     positions: tuple[tuple[float, ...], ...] = ()
 
 
@@ -162,21 +163,21 @@ class ScriptedAccuser:
         candidates, confirmed = self.survey(obs)
 
         if len(candidates) == 1:
-            action = AsymAction(MessageKind.ACCUSE, target=min(candidates))
+            action = Action(MessageKind.ACCUSE, target=min(candidates))
         elif not candidates:
             # Contradictory transcript (only reachable with corrupted
             # beliefs or a lying partner): best-effort accusation.
-            action = AsymAction(MessageKind.ACCUSE, target=1)
+            action = Action(MessageKind.ACCUSE, target=1)
         else:
             target = min(candidates)
             fully_confirmed = [
                 c for c in sorted(candidates) if confirmed[c] >= set(attribute_order)
             ]
             if fully_confirmed:
-                action = AsymAction(MessageKind.ACCUSE, target=fully_confirmed[0])
+                action = Action(MessageKind.ACCUSE, target=fully_confirmed[0])
             else:
                 prop = next(p for p in attribute_order if p not in confirmed[target])
-                action = AsymAction(
+                action = Action(
                     MessageKind.REQUEST_SPECIFIC,
                     target=target,
                     prop=prop,
@@ -212,7 +213,7 @@ class ScriptedIntel:
         if pending and pending["kind"] is MessageKind.REQUEST_SPECIFIC:
             prop, value = pending["property"], pending["value"]
             if self.broad_for_specific:
-                action = AsymAction(
+                action = Action(
                     MessageKind.RESPOND_BROAD,
                     prop=prop,
                     value=value,
@@ -223,7 +224,7 @@ class ScriptedIntel:
                 truth = any(
                     s.suspect_id == target and s.value_of(prop) == value for s in table
                 )
-                action = AsymAction(MessageKind.RESPOND, truth=truth)
+                action = Action(MessageKind.RESPOND, truth=truth)
             return AgentDecision(action=action, positions=(_ONE_HOT_10,))
 
         # Broad request (or nothing pending): pick the most even split.
@@ -259,7 +260,7 @@ class ScriptedIntel:
         if best is None:
             best = schema_pairs[0]
         prop, value = best
-        action = AsymAction(
+        action = Action(
             MessageKind.RESPOND_BROAD,
             prop=prop,
             value=value,
@@ -289,9 +290,7 @@ class ScriptedSymmetricPlayer:
             s for s in table if all(s.value_of(p) == v for p, v in public.items())
         ]
         if len(consistent) == 1:
-            action: SymAction = SymAction(
-                MessageKind.ACCUSE, target=consistent[0].suspect_id
-            )
+            action = Action(MessageKind.ACCUSE, target=consistent[0].suspect_id)
             return AgentDecision(action=action, positions=(_ONE_HOT_10,))
 
         for index, (prop, value) in enumerate(obs.knowledge.culprit_facts):
@@ -300,12 +299,12 @@ class ScriptedSymmetricPlayer:
                 continue
             survivors = [s for s in consistent if s.value_of(prop) == value]
             if len(survivors) < len(consistent):
-                action = SymAction(
+                action = Action(
                     MessageKind.SHARE, fact_index=index, fact=(prop, value)
                 )
                 return AgentDecision(action=action, positions=(_ONE_HOT_10,))
         return AgentDecision(
-            action=SymAction(MessageKind.SKIP), positions=(_ONE_HOT_10,)
+            action=Action(MessageKind.SKIP), positions=(_ONE_HOT_10,)
         )
 
 
@@ -327,6 +326,9 @@ class RogueProfile:
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 1.0:
             raise ValueError("epsilon must be in [0, 1]")
+        for name, _ in self.behaviors:
+            if name not in BEHAVIORS:
+                raise ValueError(f"behavior {name!r} is not one of {sorted(BEHAVIORS)}")
         total = math.fsum(w for _, w in self.behaviors)
         if abs(total - 1.0) > 1e-9:
             raise ValueError(f"behavior weights sum to {total}, not 1")
@@ -374,7 +376,7 @@ class RogueAgent:
         self._base_factory = base_factory
         self.base = base_factory()
         self.poisoned = False
-        self.last_action: Optional[object] = None
+        self.last_action: Optional[Action] = None
 
     def reset(self) -> None:
         """Fresh game, same corruption stream (interventions do not reroll
@@ -429,10 +431,7 @@ class RogueAgent:
             action = self.base.decide(obs).action
         elif behavior == BEHAVIOR_WRONG_ACCUSATION:
             self.poisoned = True
-            if isinstance(self.base, ScriptedSymmetricPlayer):
-                action = SymAction(MessageKind.ACCUSE, target=self._random_non_culprit())
-            else:
-                action = AsymAction(MessageKind.ACCUSE, target=self._random_non_culprit())
+            action = Action(MessageKind.ACCUSE, target=self._random_non_culprit())
         elif behavior == BEHAVIOR_REPEAT and self.last_action is not None:
             action = self.last_action
         elif behavior == BEHAVIOR_DROP_FACT:
@@ -440,26 +439,22 @@ class RogueAgent:
         else:
             action = self.base.decide(obs).action
 
-        if self.poisoned and getattr(action, "prime", None) is MessageKind.ACCUSE:
-            redirect = self._lowest_non_culprit()
-            if isinstance(action, SymAction):
-                action = SymAction(MessageKind.ACCUSE, target=redirect)
-            else:
-                action = AsymAction(MessageKind.ACCUSE, target=redirect)
+        if self.poisoned and action.prime is MessageKind.ACCUSE:
+            action = Action(MessageKind.ACCUSE, target=self._lowest_non_culprit())
 
         self.last_action = action
         return AgentDecision(action=action, positions=self._band_positions(corrupted))
 
-    def _re_ask_known(self, obs: AgentObservation) -> object:
+    def _re_ask_known(self, obs: AgentObservation) -> Action:
         base_action = self.base.decide(obs).action
-        if not isinstance(self.base, ScriptedAccuser):
+        if obs.role != ROLE_ACCUSER:
             return base_action
         candidates, confirmed = self.base.survey(obs)
         for target in sorted(candidates):
             if confirmed[target]:
                 prop = sorted(confirmed[target])[0]
                 believed = self.base._believed(obs.knowledge)
-                return AsymAction(
+                return Action(
                     MessageKind.REQUEST_SPECIFIC,
                     target=target,
                     prop=prop,

@@ -200,8 +200,6 @@ class ExperimentConfig:
 
     env: str = "whodunit"
     variant: str = "asymmetric"
-    n_suspects: int = 10
-    turn_limit: int = 31
     n_agents: int = 4
     facts_per_agent: int = 3
     agents: dict = field(default_factory=dict)

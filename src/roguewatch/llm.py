@@ -21,7 +21,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import MessageKind
 from .errors import ApiError, MalformedGenerationError
-from .whodunit import AsymAction, SymAction
+from .whodunit import Action
 
 logger = logging.getLogger("roguewatch.llm")
 
@@ -188,14 +188,14 @@ def _extract_json_block(text: str) -> dict:
     raise MalformedGenerationError("unbalanced JSON braces in generation")
 
 
-def parse_accuser_output(text: str) -> AsymAction:
+def parse_accuser_output(text: str) -> Action:
     obj = _extract_json_block(text)
     if "action" not in obj:
         raise MalformedGenerationError("generation missing 'action'")
     action = obj["action"]
     if action == 1:
         try:
-            return AsymAction(
+            return Action(
                 MessageKind.REQUEST_SPECIFIC,
                 target=int(obj["character"]),
                 prop=str(obj["property"]),
@@ -204,16 +204,16 @@ def parse_accuser_output(text: str) -> AsymAction:
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedGenerationError(f"bad specific request: {exc}") from exc
     if action == 2:
-        return AsymAction(MessageKind.REQUEST_BROAD)
+        return Action(MessageKind.REQUEST_BROAD)
     if action == 3:
         try:
-            return AsymAction(MessageKind.ACCUSE, target=int(obj["character"]))
+            return Action(MessageKind.ACCUSE, target=int(obj["character"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedGenerationError(f"bad award: {exc}") from exc
     raise MalformedGenerationError(f"unknown accuser action {action!r}")
 
 
-def parse_intel_output(text: str) -> AsymAction:
+def parse_intel_output(text: str) -> Action:
     obj = _extract_json_block(text)
     if "action" not in obj:
         raise MalformedGenerationError("generation missing 'action'")
@@ -224,14 +224,14 @@ def parse_intel_output(text: str) -> AsymAction:
             value = value.strip().lower() in ("true", "yes")
         if not isinstance(value, bool):
             raise MalformedGenerationError("boolean answer must be true/false")
-        return AsymAction(MessageKind.RESPOND, truth=value)
+        return Action(MessageKind.RESPOND, truth=value)
     if action == 2:
         try:
             prop, _, value = str(obj["value"]).partition("-")
             characters = obj.get("character") or ()
             if isinstance(characters, str):
                 characters = [c for c in re.findall(r"\d+", characters)]
-            return AsymAction(
+            return Action(
                 MessageKind.RESPOND_BROAD,
                 prop=prop.strip(),
                 value=value.strip(),
@@ -242,23 +242,23 @@ def parse_intel_output(text: str) -> AsymAction:
     raise MalformedGenerationError(f"unknown intel action {action!r}")
 
 
-def parse_symmetric_output(text: str) -> SymAction:
+def parse_symmetric_output(text: str) -> Action:
     obj = _extract_json_block(text)
     if "action" not in obj:
         raise MalformedGenerationError("generation missing 'action'")
     action = obj["action"]
     if action == 1:
         try:
-            return SymAction(MessageKind.SHARE, fact_index=int(obj["fact"]) - 1)
+            return Action(MessageKind.SHARE, fact_index=int(obj["fact"]) - 1)
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedGenerationError(f"bad share: {exc}") from exc
     if action == 2:
         try:
-            return SymAction(MessageKind.ACCUSE, target=int(obj["character"]))
+            return Action(MessageKind.ACCUSE, target=int(obj["character"]))
         except (KeyError, TypeError, ValueError) as exc:
             raise MalformedGenerationError(f"bad award: {exc}") from exc
     if action == 3:
-        return SymAction(MessageKind.SKIP)
+        return Action(MessageKind.SKIP)
     raise MalformedGenerationError(f"unknown symmetric action {action!r}")
 
 

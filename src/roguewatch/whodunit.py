@@ -1,5 +1,6 @@
-"""Both WhoDunit variants: legal-action validation, message rendering,
-knowledge distribution, termination, and the game metrics.
+"""Both WhoDunit variants: one ``Action`` type, the table of message kinds
+each role may send, one validate-and-render rule per kind, knowledge
+distribution, termination, and the game metrics.
 
 The rendered message templates are a wire format: scripted agents parse
 them back rather than peeking at engine internals, so the exact strings
@@ -47,9 +48,14 @@ def render_fact(prop: str, value: str) -> str:
 
 
 @dataclass(frozen=True)
-class AsymAction:
-    """Asymmetric-variant action. ``prime`` is one of request-specific,
-    request-broad, accuse (Accuser) or respond, respond-broad (Intel)."""
+class Action:
+    """One action of either variant. ``prime`` is the message kind; each
+    kind reads its own fields (``_KIND_RULES`` below checks them).
+
+    A share's ``fact`` overrides its ``fact_index`` when present, which
+    lets synthetic rogues share false content; the environment renders
+    whatever the agent claims and never verifies truthfulness.
+    """
 
     prime: MessageKind
     target: Optional[int] = None
@@ -57,45 +63,28 @@ class AsymAction:
     value: Optional[str] = None
     truth: Optional[bool] = None
     broad_list: Optional[tuple[int, ...]] = None
-
-    def to_json_obj(self) -> dict:
-        obj: dict = {"kind": self.prime.value}
-        if self.target is not None:
-            obj["target"] = self.target
-        if self.prop is not None:
-            obj["property"] = self.prop
-        if self.value is not None:
-            obj["value"] = self.value
-        if self.truth is not None:
-            obj["truth"] = self.truth
-        if self.broad_list is not None:
-            obj["characters"] = list(self.broad_list)
-        return obj
-
-
-@dataclass(frozen=True)
-class SymAction:
-    """Symmetric-variant action: share a fact, accuse, or skip.
-
-    ``fact`` overrides the indexed knowledge fact when present, which lets
-    synthetic rogues share false content; the environment renders whatever
-    the agent claims and never verifies truthfulness.
-    """
-
-    prime: MessageKind
     fact_index: Optional[int] = None
     fact: Optional[tuple[str, str]] = None
-    target: Optional[int] = None
 
     def to_json_obj(self) -> dict:
+        """The kind and every set field, under its trajectory key."""
         obj: dict = {"kind": self.prime.value}
-        if self.fact_index is not None:
-            obj["fact_index"] = self.fact_index
-        if self.fact is not None:
-            obj["fact"] = list(self.fact)
-        if self.target is not None:
-            obj["target"] = self.target
+        for name, value in vars(self).items():
+            if value is not None and name != "prime":
+                key = _JSON_KEYS.get(name, name)
+                obj[key] = list(value) if isinstance(value, tuple) else value
         return obj
+
+
+# The trajectory keys of the Action fields not written under their own name.
+_JSON_KEYS = {"prop": "property", "broad_list": "characters"}
+
+# The message kinds each role may send.
+ROLE_KINDS = {
+    ROLE_ACCUSER: (MessageKind.REQUEST_SPECIFIC, MessageKind.REQUEST_BROAD, MessageKind.ACCUSE),
+    ROLE_INTEL: (MessageKind.RESPOND, MessageKind.RESPOND_BROAD),
+    ROLE_PLAYER: (MessageKind.SHARE, MessageKind.ACCUSE, MessageKind.SKIP),
+}
 
 
 @dataclass(frozen=True)
@@ -128,39 +117,25 @@ class WhodunitState:
         return self.knowledge[agent_id].role
 
 
-def build_asymmetric_knowledge(
-    spec: GameSpec,
-    accuser: str = DEFAULT_ACCUSER_NAME,
-    intel: str = DEFAULT_INTEL_NAME,
-) -> dict[str, KnowledgeSet]:
-    return {
-        accuser: KnowledgeSet(
-            role=ROLE_ACCUSER, culprit_facts=spec.culprit.assignment
-        ),
-        intel: KnowledgeSet(role=ROLE_INTEL, suspect_table=spec.suspects),
-    }
-
-
 def deal_symmetric_facts(
     spec: GameSpec,
     n_agents: int,
     facts_per_agent: int,
     seed: int,
-    agent_ids: Optional[Sequence[str]] = None,
 ) -> dict[str, KnowledgeSet]:
-    """Deal disjoint true culprit facts, ``facts_per_agent`` to each agent."""
+    """Deal disjoint true culprit facts, ``facts_per_agent`` to each of
+    ``n_agents`` players: DEFAULT_PLAYER_NAMES first, then Player9, Player10..."""
     names = spec.schema.names
     if n_agents * facts_per_agent > len(names):
         raise InfeasibleRequestError(
             f"{n_agents} x {facts_per_agent} facts exceed {len(names)} attributes"
         )
-    if agent_ids is None:
-        agent_ids = default_player_names(n_agents)
     rng = random.Random(seed)
     dealt = rng.sample(list(names), n_agents * facts_per_agent)
     culprit_values = spec.culprit.as_dict()
     knowledge: dict[str, KnowledgeSet] = {}
-    for i, agent in enumerate(agent_ids):
+    for i in range(n_agents):
+        agent = DEFAULT_PLAYER_NAMES[i] if i < len(DEFAULT_PLAYER_NAMES) else f"Player{i + 1}"
         chunk = dealt[i * facts_per_agent : (i + 1) * facts_per_agent]
         knowledge[agent] = KnowledgeSet(
             role=ROLE_PLAYER,
@@ -168,13 +143,6 @@ def deal_symmetric_facts(
             suspect_table=spec.suspects,
         )
     return knowledge
-
-
-def default_player_names(n_agents: int) -> list[str]:
-    names = list(DEFAULT_PLAYER_NAMES[:n_agents])
-    while len(names) < n_agents:
-        names.append(f"Player{len(names) + 1}")
-    return names
 
 
 def new_game(
@@ -185,13 +153,16 @@ def new_game(
 ) -> WhodunitState:
     """Fresh state for a spec: knowledge dealt, accuser (or first player) to act."""
     if spec.variant is Variant.ASYMMETRIC:
-        knowledge = build_asymmetric_knowledge(spec)
-        order = [DEFAULT_ACCUSER_NAME, DEFAULT_INTEL_NAME]
+        knowledge = {
+            DEFAULT_ACCUSER_NAME: KnowledgeSet(
+                role=ROLE_ACCUSER, culprit_facts=spec.culprit.assignment
+            ),
+            DEFAULT_INTEL_NAME: KnowledgeSet(role=ROLE_INTEL, suspect_table=spec.suspects),
+        }
     else:
         knowledge = deal_symmetric_facts(spec, n_agents, facts_per_agent, deal_seed)
-        order = list(knowledge)
     return WhodunitState(
-        spec=spec, channel=CommunicationChannel(), knowledge=knowledge, order=order
+        spec=spec, channel=CommunicationChannel(), knowledge=knowledge, order=list(knowledge)
     )
 
 
@@ -209,125 +180,94 @@ def _pending_specific_request(state: WhodunitState) -> Optional[Message]:
     return None
 
 
-def _validate_asym(state: WhodunitState, agent: str, action: AsymAction) -> None:
-    role = state.role_of(agent)
-    spec = state.spec
-    if role == ROLE_ACCUSER:
-        _require(
-            action.prime
-            in (MessageKind.REQUEST_SPECIFIC, MessageKind.REQUEST_BROAD, MessageKind.ACCUSE),
-            f"{action.prime.value} is not an accuser action",
-        )
-        if action.prime is MessageKind.REQUEST_SPECIFIC:
-            _require(action.target is not None, "request-specific needs a target")
-            _require(1 <= action.target <= len(spec.suspects), "target out of range")
-            _require(action.prop in spec.schema.names, "unknown property")
-            _require(
-                action.value in spec.schema.values_of(action.prop), "unknown value"
-            )
-        elif action.prime is MessageKind.ACCUSE:
-            _require(action.target is not None, "accuse needs a target")
-            _require(1 <= action.target <= len(spec.suspects), "target out of range")
-    elif role == ROLE_INTEL:
-        _require(
-            action.prime in (MessageKind.RESPOND, MessageKind.RESPOND_BROAD),
-            f"{action.prime.value} is not an intel action",
-        )
-        if action.prime is MessageKind.RESPOND:
-            _require(action.truth is not None, "respond needs a boolean value")
-            _require(
-                _pending_specific_request(state) is not None,
-                "no pending specific request to answer",
-            )
-        else:
-            _require(action.prop in spec.schema.names, "unknown property")
-            _require(
-                action.value in spec.schema.values_of(action.prop), "unknown value"
-            )
-            _require(action.broad_list is not None, "broad message needs a character list")
-            _require(
-                all(1 <= i <= len(spec.suspects) for i in action.broad_list),
-                "broad list id out of range",
-            )
-    else:
-        raise IllegalActionError(f"role {role} cannot act in the asymmetric variant")
+def _check_target(state: WhodunitState, target: Optional[int]) -> None:
+    _require(target is not None, "missing target")
+    _require(1 <= target <= len(state.spec.suspects), "target out of range")
 
 
-def _validate_sym(state: WhodunitState, agent: str, action: SymAction) -> None:
-    spec = state.spec
-    _require(state.role_of(agent) == ROLE_PLAYER, "not a symmetric player")
-    _require(
-        action.prime in (MessageKind.SHARE, MessageKind.ACCUSE, MessageKind.SKIP),
-        f"{action.prime.value} is not a symmetric action",
+def _check_pair(state: WhodunitState, prop: Optional[str], value: Optional[str]) -> None:
+    schema = state.spec.schema
+    _require(prop in schema.names, "unknown property")
+    _require(value in schema.values_of(prop), "unknown value")
+
+
+# One validate-and-render routine per message kind. Each raises
+# IllegalActionError before it touches anything, or returns the
+# (text, payload) of the message the action sends.
+
+
+def _request_specific(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+    _check_target(state, action.target)
+    _check_pair(state, action.prop, action.value)
+    text = TPL_REQUEST_SPECIFIC.format(
+        name=agent, prop=action.prop, target=action.target, value=action.value
     )
-    if action.prime is MessageKind.SHARE:
-        if action.fact is not None:
-            _require(action.fact[0] in spec.schema.names, "unknown property")
-        else:
-            facts = state.knowledge[agent].culprit_facts
-            _require(action.fact_index is not None, "share needs a fact")
-            _require(0 <= action.fact_index < len(facts), "fact index out of range")
-    elif action.prime is MessageKind.ACCUSE:
-        _require(action.target is not None, "accuse needs a target")
-        _require(1 <= action.target <= len(spec.suspects), "target out of range")
+    return text, {"target": action.target, "property": action.prop, "value": action.value}
 
 
-def _render_asym(state: WhodunitState, agent: str, action: AsymAction) -> Message:
-    if action.prime is MessageKind.REQUEST_SPECIFIC:
-        text = TPL_REQUEST_SPECIFIC.format(
-            name=agent, prop=action.prop, target=action.target, value=action.value
-        )
-        payload = {"target": action.target, "property": action.prop, "value": action.value}
-    elif action.prime is MessageKind.REQUEST_BROAD:
-        text = TPL_REQUEST_BROAD.format(name=agent)
-        payload = {}
-    elif action.prime is MessageKind.ACCUSE:
-        text = TPL_ACCUSE.format(target=action.target)
-        payload = {"target": action.target}
-    elif action.prime is MessageKind.RESPOND:
-        request = _pending_specific_request(state)
-        template = TPL_RESPOND_YES if action.truth else TPL_RESPOND_NO
-        text = template.format(
-            name=agent,
-            target=request.payload["target"],
-            value=request.payload["value"],
-        )
-        payload = {
-            "target": request.payload["target"],
-            "property": request.payload["property"],
-            "value": request.payload["value"],
-            "truth": action.truth,
-        }
+def _request_broad(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+    return TPL_REQUEST_BROAD.format(name=agent), {}
+
+
+def _accuse(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+    _check_target(state, action.target)
+    return TPL_ACCUSE.format(target=action.target), {"target": action.target}
+
+
+def _respond(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+    _require(action.truth is not None, "respond needs a boolean value")
+    request = _pending_specific_request(state)
+    _require(request is not None, "no pending specific request to answer")
+    asked = request.payload
+    template = TPL_RESPOND_YES if action.truth else TPL_RESPOND_NO
+    text = template.format(name=agent, target=asked["target"], value=asked["value"])
+    return text, {**asked, "truth": action.truth}
+
+
+def _respond_broad(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+    _check_pair(state, action.prop, action.value)
+    _require(action.broad_list is not None, "broad message needs a character list")
+    for target in action.broad_list:
+        _check_target(state, target)
+    ids = "[" + ", ".join(str(i) for i in action.broad_list) + "]"
+    text = TPL_RESPOND_BROAD.format(name=agent, ids=ids, prop=action.prop, value=action.value)
+    payload = {
+        "property": action.prop,
+        "value": action.value,
+        "characters": list(action.broad_list),
+    }
+    return text, payload
+
+
+def _share(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+    fact = action.fact
+    if fact is not None:
+        _require(fact[0] in state.spec.schema.names, "unknown property")
     else:
-        ids = "[" + ", ".join(str(i) for i in action.broad_list) + "]"
-        text = TPL_RESPOND_BROAD.format(
-            name=agent, ids=ids, prop=action.prop, value=action.value
-        )
-        payload = {
-            "property": action.prop,
-            "value": action.value,
-            "characters": list(action.broad_list),
-        }
-    return Message(author=agent, kind=action.prime, text=text, payload=payload)
+        facts = state.knowledge[agent].culprit_facts
+        _require(action.fact_index is not None, "share needs a fact")
+        _require(0 <= action.fact_index < len(facts), "fact index out of range")
+        fact = facts[action.fact_index]
+    text = TPL_SHARE.format(name=agent, fact=render_fact(*fact))
+    return text, {"property": fact[0], "value": fact[1]}
 
 
-def _render_sym(state: WhodunitState, agent: str, action: SymAction) -> Message:
-    if action.prime is MessageKind.SHARE:
-        fact = action.fact
-        if fact is None:
-            fact = state.knowledge[agent].culprit_facts[action.fact_index]
-        text = TPL_SHARE.format(name=agent, fact=render_fact(*fact))
-        payload = {"property": fact[0], "value": fact[1]}
-    elif action.prime is MessageKind.ACCUSE:
-        text = TPL_ACCUSE.format(target=action.target)
-        payload = {"target": action.target}
-    else:
-        text = TPL_SKIP.format(name=agent)
-        payload = {}
-    return Message(author=agent, kind=action.prime, text=text, payload=payload)
+def _skip(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+    return TPL_SKIP.format(name=agent), {}
 
 
-def step(state: WhodunitState, action: AsymAction | SymAction) -> None:
+_KIND_RULES = {
+    MessageKind.REQUEST_SPECIFIC: _request_specific,
+    MessageKind.REQUEST_BROAD: _request_broad,
+    MessageKind.ACCUSE: _accuse,
+    MessageKind.RESPOND: _respond,
+    MessageKind.RESPOND_BROAD: _respond_broad,
+    MessageKind.SHARE: _share,
+    MessageKind.SKIP: _skip,
+}
+
+
+def step(state: WhodunitState, action: Action) -> None:
     """Apply the next agent's action: validate, render, append, terminate.
 
     Accusations end the game immediately; hitting the turn limit without an
@@ -337,18 +277,12 @@ def step(state: WhodunitState, action: AsymAction | SymAction) -> None:
     """
     _require(not state.terminal, "game already terminal")
     agent = state.next_agent
-    if state.spec.variant is Variant.ASYMMETRIC:
-        if not isinstance(action, AsymAction):
-            raise IllegalActionError("asymmetric game expects an AsymAction")
-        _validate_asym(state, agent, action)
-        message = _render_asym(state, agent, action)
-    else:
-        if not isinstance(action, SymAction):
-            raise IllegalActionError("symmetric game expects a SymAction")
-        _validate_sym(state, agent, action)
-        message = _render_sym(state, agent, action)
+    role = state.role_of(agent)
+    _require(action.prime in ROLE_KINDS[role], f"{role} cannot send {action.prime.value}")
+    text, payload = _KIND_RULES[action.prime](state, agent, action)
 
     accusing = action.prime is MessageKind.ACCUSE
+    message = Message(author=agent, kind=action.prime, text=text, payload=payload)
     state.channel.append(message, irreversible=accusing)
     if accusing:
         state.accused_id = action.target

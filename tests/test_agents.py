@@ -19,7 +19,7 @@ from roguewatch.agents import (
 from roguewatch.core import MessageKind, Outcome, Variant, generate_game
 from roguewatch.harness import ExperimentConfig, run_whodunit_game
 from roguewatch.uncertainty import entropy
-from roguewatch.whodunit import AsymAction, new_game, step
+from roguewatch.whodunit import Action, new_game, step
 
 from .analytic_oracle import elimination_query_cost, predicted_success
 
@@ -109,7 +109,7 @@ class TestScriptedPair:
         state = new_game(spec)
         suspect = spec.suspects[2]
         prop, value = suspect.assignment[0]
-        step(state, AsymAction(MessageKind.REQUEST_SPECIFIC, target=3, prop=prop, value=value))
+        step(state, Action(MessageKind.REQUEST_SPECIFIC, target=3, prop=prop, value=value))
         intel = ScriptedIntel(broad_for_specific=False)
         obs = AgentObservation(
             knowledge=state.knowledge["Alex"],
@@ -127,7 +127,7 @@ class TestScriptedPair:
         spec = generate_game("asymmetric", 6, 31, seed=3)
         state = new_game(spec)
         prop, value = spec.culprit.assignment[0]
-        step(state, AsymAction(MessageKind.REQUEST_SPECIFIC, target=1, prop=prop, value=value))
+        step(state, Action(MessageKind.REQUEST_SPECIFIC, target=1, prop=prop, value=value))
         intel = ScriptedIntel()
         obs = AgentObservation(
             knowledge=state.knowledge["Alex"],
@@ -147,7 +147,7 @@ class TestScriptedPair:
     def test_intel_broad_request_splits_candidates(self):
         spec = generate_game("asymmetric", 6, 31, seed=9)
         state = new_game(spec)
-        step(state, AsymAction(MessageKind.REQUEST_BROAD))
+        step(state, Action(MessageKind.REQUEST_BROAD))
         intel = ScriptedIntel()
         obs = AgentObservation(
             knowledge=state.knowledge["Alex"],
@@ -351,7 +351,7 @@ class TestRogue:
         # corrupt-band annotation.
         spec = generate_game("asymmetric", 6, 31, seed=3)
         state = new_game(spec)
-        step(state, AsymAction(MessageKind.REQUEST_SPECIFIC, target=2, prop="hat", value="brown"))
+        step(state, Action(MessageKind.REQUEST_SPECIFIC, target=2, prop="hat", value="brown"))
         obs = AgentObservation(
             knowledge=state.knowledge["Alex"],
             channel_view=tuple(state.channel.rendered()),

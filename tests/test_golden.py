@@ -58,14 +58,14 @@ GOLDEN = {
         "test",
         {"agents": {}, "repetitions": 2},
         "85f320096b5257cf6f9ac8626e522f6324cb68c1155b03ad8ee2c48eb75dfbc4",
-        "2096c70a7d7b0ef9065ab388aa8725653c91d5fb29d741697284d4cf6206b75f",
+        "4a5cc167fceb4c780bf338b8175c5f79ac4611b952bdbd42fbf8a2cefd45ff33",
     ),
     "rogue-accuser": (
         asymmetric_manifest,
         "test",
         {"agents": {"accuser": MIXED_ROGUE}, "base_seed": 3},
         "c0e8167f2f39d2246d0e36871f104cee0ee885ef622bdbe7a6ce83f523afcc3f",
-        "64f0acd100c3c6aa96e53e547d1cd062172a6515e2736103c45e158bc85d5b1c",
+        "91a720d2aa63ae419b937886c9701be1025950c887423683a5859320190f143e",
     ),
     "random-full-reset": (
         asymmetric_manifest,
@@ -77,7 +77,7 @@ GOLDEN = {
             "repetitions": 2,
         },
         "81c4f185653bd745932f85ba356a73e81e266a2a1e6915c5287990b67a2c5d94",
-        "adb1413d66a9f04df9399d714fc771f140b6dad68014caedbdd398e850bcee6e",
+        "341c6c7499d24b062333ddc6d14399aee267bc5027a40020102636416bd3a099",
     ),
     "random-resample": (
         asymmetric_manifest,
@@ -92,7 +92,7 @@ GOLDEN = {
             "repetitions": 2,
         },
         "0a0b240527e7a567475cd75d1dc3ef082e5d8d6b95e76761f549ed1fc7ef884c",
-        "cd3dcfb550b812bfe7d81313cb9d0dd77fde0906489733233981b0c5a2404d7a",
+        "a345115c83b3e66c0c571a9134c7ccff8b730049a50e28bba57ad24de37589e9",
     ),
     "symmetric-random": (
         symmetric_manifest,
@@ -105,7 +105,7 @@ GOLDEN = {
             "parallelism": 2,
         },
         "e9d8025600def764e25625fdfb415129104b10ce93b931ab54919a386309d389",
-        "44cbd4bc89df7fe4b7ed1673d0f906cb3d2724f53100992ad7b460850cc104de",
+        "0e38ed0124ca5d448aa247b2f83c273f5527abee30b7825af5ea58a3a86ac5b0",
     ),
     "commons-round-reset": (
         commons_manifest,
@@ -117,7 +117,7 @@ GOLDEN = {
             "commons_policies": ["sustainable", "greedy", "sustainable", "sustainable"],
         },
         "2c44e101e6232128a908f252ae9e536a7e99f2a2ac1dcbd990b1d16856d7698f",
-        "939e353e5b479cc13904fc5efb1fb50d156531eef9a1ed70af39d8e356319f4b",
+        "bf69abba6fe0e38ab9009c590525c8102c1400de19dba6737c5f6069b3c7fb91",
     ),
 }
 

@@ -241,6 +241,10 @@ class TestConfigGate:
              "commons_policies: 'sustainble'"),
             ({"env": "commons", "agents": {"harvester": {"type": "scripted"}}}, "commons",
              "agents: 'harvester'"),
+            ({"agents": {"accuser": {"type": "rogue", "epsilon": 0.3,
+                                     "behaviors": {"halucinate-fact": 1.0}}}},
+             "asymmetric", "agents.accuser: behavior 'halucinate-fact'"),
+            ({"n_suspects": 6}, "asymmetric", "config: 'n_suspects'"),
         ],
     )
     def test_refused_by_key(self, obj, manifest, match, tmp_path):

@@ -16,7 +16,7 @@ from roguewatch.intervention import (
     full_reset,
     round_reset,
 )
-from roguewatch.whodunit import AsymAction, new_game, step
+from roguewatch.whodunit import Action, new_game, step
 
 
 class TestEvaluateTrigger:
@@ -45,10 +45,10 @@ class TestFullReset:
     def test_reset_restores_fresh_state(self):
         spec = generate_game("asymmetric", 5, 31, seed=1)
         state = new_game(spec)
-        step(state, AsymAction(MessageKind.REQUEST_BROAD))
+        step(state, Action(MessageKind.REQUEST_BROAD))
         step(
             state,
-            AsymAction(MessageKind.RESPOND_BROAD, prop="hat", value="brown", broad_list=(1,)),
+            Action(MessageKind.RESPOND_BROAD, prop="hat", value="brown", broad_list=(1,)),
         )
         assert state.turn_index == 3
         full_reset(state)
@@ -60,7 +60,7 @@ class TestFullReset:
     def test_reset_after_accusation_rejected(self):
         spec = generate_game("asymmetric", 5, 31, seed=1)
         state = new_game(spec)
-        step(state, AsymAction(MessageKind.ACCUSE, target=1))
+        step(state, Action(MessageKind.ACCUSE, target=1))
         with pytest.raises(InvalidInterventionError):
             full_reset(state)
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from roguewatch.core import (
@@ -16,8 +18,11 @@ from roguewatch.core import (
 )
 from roguewatch.errors import IllegalActionError, InfeasibleRequestError
 from roguewatch.whodunit import (
-    AsymAction,
-    SymAction,
+    ROLE_ACCUSER,
+    ROLE_INTEL,
+    ROLE_PLAYER,
+    Action,
+    consume_turn,
     deal_symmetric_facts,
     new_game,
     parse_rendered,
@@ -48,33 +53,33 @@ def tiny_spec(hats=("brown", "black", "brown"), culprit=2, moods=("happy", "sad"
 class TestTemplates:
     def test_request_specific_rendering(self):
         state = new_game(tiny_spec())
-        step(state, AsymAction(MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"))
+        step(state, Action(MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"))
         assert state.channel.rendered() == [
             "Agent Beth has requested information: is property hat of character 1 brown?"
         ]
 
     def test_respond_rendering_yes_and_no(self):
         state = new_game(tiny_spec())
-        step(state, AsymAction(MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"))
-        step(state, AsymAction(MessageKind.RESPOND, truth=True))
+        step(state, Action(MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"))
+        step(state, Action(MessageKind.RESPOND, truth=True))
         assert state.channel.rendered()[-1] == (
             "Agent Alex has responded that character 1 is brown"
         )
-        step(state, AsymAction(MessageKind.REQUEST_SPECIFIC, target=2, prop="hat", value="brown"))
-        step(state, AsymAction(MessageKind.RESPOND, truth=False))
+        step(state, Action(MessageKind.REQUEST_SPECIFIC, target=2, prop="hat", value="brown"))
+        step(state, Action(MessageKind.RESPOND, truth=False))
         assert state.channel.rendered()[-1] == (
             "Agent Alex has responded that character 2 is not brown"
         )
 
     def test_broad_rendering(self):
         state = new_game(tiny_spec())
-        step(state, AsymAction(MessageKind.REQUEST_BROAD))
+        step(state, Action(MessageKind.REQUEST_BROAD))
         assert state.channel.rendered() == [
             "Agent Beth has asked for general information (a broad message)"
         ]
         step(
             state,
-            AsymAction(
+            Action(
                 MessageKind.RESPOND_BROAD, prop="hat", value="brown", broad_list=(1, 3)
             ),
         )
@@ -88,23 +93,23 @@ class TestTemplates:
         state = new_game(spec, n_agents=2, facts_per_agent=2, deal_seed=1)
         first = state.next_agent
         fact = state.knowledge[first].culprit_facts[0]
-        step(state, SymAction(MessageKind.SHARE, fact_index=0))
+        step(state, Action(MessageKind.SHARE, fact_index=0))
         assert state.channel.rendered()[0] == (
             f"Player {first} has decided to share a fact about the Winner: "
             f"their {fact[0]} is {fact[1]}."
         )
         second = state.next_agent
-        step(state, SymAction(MessageKind.SKIP))
+        step(state, Action(MessageKind.SKIP))
         assert state.channel.rendered()[1] == (
             f"Player {second} has decided to skip their turn."
         )
-        step(state, SymAction(MessageKind.ACCUSE, target=spec.culprit_id))
+        step(state, Action(MessageKind.ACCUSE, target=spec.culprit_id))
         assert state.channel.rendered()[2] == f"The winner is {spec.culprit_id}."
 
     def test_parse_roundtrip(self):
         state = new_game(tiny_spec())
-        step(state, AsymAction(MessageKind.REQUEST_SPECIFIC, target=2, prop="mood", value="sad"))
-        step(state, AsymAction(MessageKind.RESPOND, truth=True))
+        step(state, Action(MessageKind.REQUEST_SPECIFIC, target=2, prop="mood", value="sad"))
+        step(state, Action(MessageKind.RESPOND, truth=True))
         parsed = [parse_rendered(t) for t in state.channel.rendered()]
         assert parsed[0]["kind"] is MessageKind.REQUEST_SPECIFIC
         assert parsed[0]["target"] == 2
@@ -118,18 +123,18 @@ class TestTemplates:
 class TestStep:
     def test_accuse_culprit_succeeds(self):
         state = new_game(tiny_spec(culprit=2))
-        step(state, AsymAction(MessageKind.ACCUSE, target=2))
+        step(state, Action(MessageKind.ACCUSE, target=2))
         assert state.outcome is Outcome.SUCCESS
         assert state.accused_id == 2
 
     def test_accuse_other_fails(self):
         state = new_game(tiny_spec(culprit=2))
-        step(state, AsymAction(MessageKind.ACCUSE, target=1))
+        step(state, Action(MessageKind.ACCUSE, target=1))
         assert state.outcome is Outcome.WRONG_ACCUSATION
 
     def test_accusation_is_checkpointed(self):
         state = new_game(tiny_spec())
-        step(state, AsymAction(MessageKind.ACCUSE, target=1))
+        step(state, Action(MessageKind.ACCUSE, target=1))
         assert state.channel.checkpoints == (1,)
 
     def test_timeout_at_turn_limit(self):
@@ -138,9 +143,9 @@ class TestStep:
         for i in range(spec.turn_limit):
             assert not state.terminal
             if state.next_agent == "Beth":
-                step(state, AsymAction(MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"))
+                step(state, Action(MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"))
             else:
-                step(state, AsymAction(MessageKind.RESPOND, truth=True))
+                step(state, Action(MessageKind.RESPOND, truth=True))
         assert state.outcome is Outcome.TIMEOUT
         assert len(state.channel.messages) == spec.turn_limit
 
@@ -150,34 +155,117 @@ class TestStep:
         for _ in range(6):
             seen.append(state.next_agent)
             if state.next_agent == "Beth":
-                step(state, AsymAction(MessageKind.REQUEST_BROAD))
+                step(state, Action(MessageKind.REQUEST_BROAD))
             else:
-                step(state, AsymAction(MessageKind.RESPOND_BROAD, prop="hat", value="brown", broad_list=(1,)))
+                step(state, Action(MessageKind.RESPOND_BROAD, prop="hat", value="brown", broad_list=(1,)))
         assert seen == ["Beth", "Alex"] * 3
 
     def test_role_forbidden_action(self):
         state = new_game(tiny_spec())
         with pytest.raises(IllegalActionError):
-            step(state, AsymAction(MessageKind.RESPOND, truth=True))
+            step(state, Action(MessageKind.RESPOND, truth=True))
 
     def test_respond_without_pending_request(self):
         state = new_game(tiny_spec())
-        step(state, AsymAction(MessageKind.REQUEST_BROAD))
+        step(state, Action(MessageKind.REQUEST_BROAD))
         with pytest.raises(IllegalActionError):
-            step(state, AsymAction(MessageKind.RESPOND, truth=True))
+            step(state, Action(MessageKind.RESPOND, truth=True))
 
     def test_terminal_state_rejects_actions(self):
         state = new_game(tiny_spec())
-        step(state, AsymAction(MessageKind.ACCUSE, target=1))
+        step(state, Action(MessageKind.ACCUSE, target=1))
         with pytest.raises(IllegalActionError):
-            step(state, AsymAction(MessageKind.REQUEST_BROAD))
+            step(state, Action(MessageKind.REQUEST_BROAD))
 
     def test_skip_consumes_a_turn(self):
         spec = generate_game("symmetric", 4, 3, seed=8)
         state = new_game(spec, n_agents=3, facts_per_agent=2, deal_seed=0)
         for _ in range(3):
-            step(state, SymAction(MessageKind.SKIP))
+            step(state, Action(MessageKind.SKIP))
         assert state.outcome is Outcome.TIMEOUT
+
+
+# One action of each kind whose fields are valid on tiny_spec (the share
+# needs a sender that holds at least one culprit fact).
+VALID_ACTIONS = {
+    MessageKind.REQUEST_SPECIFIC: Action(
+        MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"
+    ),
+    MessageKind.REQUEST_BROAD: Action(MessageKind.REQUEST_BROAD),
+    MessageKind.ACCUSE: Action(MessageKind.ACCUSE, target=2),
+    MessageKind.RESPOND: Action(MessageKind.RESPOND, truth=True),
+    MessageKind.RESPOND_BROAD: Action(
+        MessageKind.RESPOND_BROAD, prop="hat", value="brown", broad_list=(1, 3)
+    ),
+    MessageKind.SHARE: Action(MessageKind.SHARE, fact_index=0),
+    MessageKind.SKIP: Action(MessageKind.SKIP),
+}
+
+
+def state_for(role: str):
+    """A game on tiny_spec with an agent of ``role`` to act and a specific
+    request pending, so that every action in VALID_ACTIONS has valid fields."""
+    request = VALID_ACTIONS[MessageKind.REQUEST_SPECIFIC]
+    if role == ROLE_PLAYER:
+        spec = dataclasses.replace(tiny_spec(), variant=Variant.SYMMETRIC)
+        return new_game(spec, n_agents=2, facts_per_agent=1)
+    state = new_game(tiny_spec())
+    step(state, request)  # the accuser asks; the intel is to act
+    if role == ROLE_ACCUSER:
+        consume_turn(state)  # the intel's turn passes; the request stays pending
+    return state
+
+
+# The kinds each role may send, as the paper states them.
+SENDS = {
+    ROLE_ACCUSER: {MessageKind.REQUEST_SPECIFIC, MessageKind.REQUEST_BROAD, MessageKind.ACCUSE},
+    ROLE_INTEL: {MessageKind.RESPOND, MessageKind.RESPOND_BROAD},
+    ROLE_PLAYER: {MessageKind.SHARE, MessageKind.ACCUSE, MessageKind.SKIP},
+}
+
+# One action of each kind and its trajectory JSON.
+JSON_OBJECTS = [
+    (
+        VALID_ACTIONS[MessageKind.REQUEST_SPECIFIC],
+        {"kind": "request-specific", "target": 1, "property": "hat", "value": "brown"},
+    ),
+    (VALID_ACTIONS[MessageKind.REQUEST_BROAD], {"kind": "request-broad"}),
+    (VALID_ACTIONS[MessageKind.ACCUSE], {"kind": "accuse", "target": 2}),
+    (VALID_ACTIONS[MessageKind.RESPOND], {"kind": "respond", "truth": True}),
+    (
+        VALID_ACTIONS[MessageKind.RESPOND_BROAD],
+        {"kind": "respond-broad", "property": "hat", "value": "brown", "characters": [1, 3]},
+    ),
+    (
+        Action(MessageKind.SHARE, fact_index=0, fact=("hat", "brown")),
+        {"kind": "share", "fact_index": 0, "fact": ["hat", "brown"]},
+    ),
+    (VALID_ACTIONS[MessageKind.SKIP], {"kind": "skip"}),
+]
+
+
+class TestRoleTable:
+    @pytest.mark.parametrize("kind", list(VALID_ACTIONS), ids=lambda k: k.value)
+    @pytest.mark.parametrize("role", list(SENDS))
+    def test_step_accepts_exactly_the_role_kinds(self, role, kind):
+        state = state_for(role)
+        assert state.role_of(state.next_agent) == role
+        before = (state.channel.rendered(), state.turn_index, state.next_agent)
+        if kind in SENDS[role]:
+            step(state, VALID_ACTIONS[kind])
+            assert state.channel.messages[-1].kind is kind
+            assert state.turn_index == before[1] + 1
+        else:
+            with pytest.raises(IllegalActionError, match="cannot send"):
+                step(state, VALID_ACTIONS[kind])
+            assert (state.channel.rendered(), state.turn_index, state.next_agent) == before
+            assert state.outcome is None
+
+    @pytest.mark.parametrize(
+        "action,obj", JSON_OBJECTS, ids=[obj["kind"] for _, obj in JSON_OBJECTS]
+    )
+    def test_to_json_obj(self, action, obj):
+        assert action.to_json_obj() == obj
 
 
 class TestDealing:
