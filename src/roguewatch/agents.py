@@ -200,31 +200,20 @@ class ScriptedIntel:
     def reset(self) -> None:
         pass
 
-    def _matching(self, table, prop: str, value: str) -> tuple[int, ...]:
-        return tuple(
-            s.suspect_id for s in table if s.value_of(prop) == value
-        )
-
     def decide(self, obs: AgentObservation) -> AgentDecision:
-        table = obs.knowledge.suspect_table
+        knowledge = obs.knowledge
         events = _paired_responses(obs.channel_view)
         pending = events[-1] if events else None
 
         if pending and pending["kind"] is MessageKind.REQUEST_SPECIFIC:
             prop, value = pending["property"], pending["value"]
+            holders = knowledge.suspects_with((prop, value))
             if self.broad_for_specific:
                 action = Action(
-                    MessageKind.RESPOND_BROAD,
-                    prop=prop,
-                    value=value,
-                    broad_list=self._matching(table, prop, value),
+                    MessageKind.RESPOND_BROAD, prop=prop, value=value, broad_list=holders
                 )
             else:
-                target = pending["target"]
-                truth = any(
-                    s.suspect_id == target and s.value_of(prop) == value for s in table
-                )
-                action = Action(MessageKind.RESPOND, truth=truth)
+                action = Action(MessageKind.RESPOND, truth=pending["target"] in holders)
             return AgentDecision(action=action, positions=(_ONE_HOT_10,))
 
         # Broad request (or nothing pending): pick the most even split.
@@ -233,30 +222,27 @@ class ScriptedIntel:
             for e in events
             if e["kind"] is MessageKind.REQUEST_SPECIFIC
         }
-        consistent = [
-            s
-            for s in table
-            if all(s.value_of(p) == v for p, v in revealed.items())
-        ]
+        consistent = _consistent(knowledge, revealed)
         broadcast_pairs = {
             (e["property"], e["value"])
             for e in events
             if e["kind"] is MessageKind.RESPOND_BROAD
         }
-        schema_pairs = []
-        for prop, _ in table[0].assignment:
-            values = sorted({s.value_of(prop) for s in table})
-            schema_pairs.extend((prop, value) for value in values)
+        values: dict[str, set[str]] = {}
+        for suspect in knowledge.suspect_table:
+            for prop, value in suspect.assignment:
+                values.setdefault(prop, set()).add(value)
+        schema_pairs = [(prop, value) for prop, vs in values.items() for value in sorted(vs)]
 
         best = None
         best_score = -1
-        for prop, value in schema_pairs:
-            if (prop, value) in broadcast_pairs:
+        for pair in schema_pairs:
+            if pair in broadcast_pairs:
                 continue
-            inside = sum(1 for s in consistent if s.value_of(prop) == value)
+            inside = len(consistent.intersection(knowledge.suspects_with(pair)))
             score = min(inside, len(consistent) - inside)
             if score > best_score:
-                best, best_score = (prop, value), score
+                best, best_score = pair, score
         if best is None:
             best = schema_pairs[0]
         prop, value = best
@@ -264,7 +250,7 @@ class ScriptedIntel:
             MessageKind.RESPOND_BROAD,
             prop=prop,
             value=value,
-            broad_list=self._matching(table, prop, value),
+            broad_list=knowledge.suspects_with(best),
         )
         return AgentDecision(action=action, positions=(_ONE_HOT_10,))
 
@@ -280,25 +266,22 @@ class ScriptedSymmetricPlayer:
         self.belief_overrides.clear()
 
     def decide(self, obs: AgentObservation) -> AgentDecision:
-        table = obs.knowledge.suspect_table
         public: dict[str, str] = {}
         for line in obs.channel_view:
             parsed = parse_rendered(line)
             if parsed and parsed["kind"] is MessageKind.SHARE:
                 public[parsed["property"]] = parsed["value"]
-        consistent = [
-            s for s in table if all(s.value_of(p) == v for p, v in public.items())
-        ]
+        consistent = _consistent(obs.knowledge, public)
         if len(consistent) == 1:
-            action = Action(MessageKind.ACCUSE, target=consistent[0].suspect_id)
+            action = Action(MessageKind.ACCUSE, target=min(consistent))
             return AgentDecision(action=action, positions=(_ONE_HOT_10,))
 
         for index, (prop, value) in enumerate(obs.knowledge.culprit_facts):
             value = self.belief_overrides.get(prop, value)
             if prop in public:
                 continue
-            survivors = [s for s in consistent if s.value_of(prop) == value]
-            if len(survivors) < len(consistent):
+            # Sharing the fact shrinks the set unless every member has it.
+            if not consistent.issubset(obs.knowledge.suspects_with((prop, value))):
                 action = Action(
                     MessageKind.SHARE, fact_index=index, fact=(prop, value)
                 )
@@ -306,6 +289,15 @@ class ScriptedSymmetricPlayer:
         return AgentDecision(
             action=Action(MessageKind.SKIP), positions=(_ONE_HOT_10,)
         )
+
+
+def _consistent(knowledge: KnowledgeSet, facts: dict[str, str]) -> set[int]:
+    """Ids of the suspects in the table that have every (property, value)
+    in ``facts``."""
+    consistent = {s.suspect_id for s in knowledge.suspect_table}
+    for pair in facts.items():
+        consistent.intersection_update(knowledge.suspects_with(pair))
+    return consistent
 
 
 @dataclass(frozen=True)

@@ -26,8 +26,6 @@ def _cmd_gen_dataset(args: argparse.Namespace) -> int:
         variant=args.variant,
         n_suspects=args.suspects,
         turn_limit=args.turn_limit,
-        commons_train=args.train,
-        commons_validation=args.validation,
     )
     Path(args.out).write_text(json.dumps(manifest.to_json_obj(), indent=2))
     sizes = {name: len(manifest.split(name)) for name in ("train", "validation", "test")}
@@ -90,7 +88,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--turn-limit", type=int, default=31)
     gen.add_argument("--train", type=int, help="default: 210 games, or 13 commons R0 values")
     gen.add_argument("--validation", type=int, help="default: 90 games, or 7 commons R0 values")
-    gen.add_argument("--test", type=int, help="default: 180 games")
+    gen.add_argument("--test", type=int, help="default: 180 games; refused for commons")
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
     gen.set_defaults(func=_cmd_gen_dataset)

@@ -100,7 +100,6 @@ def harvest_phase(state: CommonsState, requests: dict[str, float], seed: int) ->
             kind=MessageKind.SYSTEM,
             text=f"Round {state.round_index} harvest complete: {summary}. "
             f"Remaining fish: {state.stock:g}.",
-            payload={"round": state.round_index, "harvests": taken},
         ),
         irreversible=True,
     )

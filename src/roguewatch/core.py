@@ -184,12 +184,6 @@ class SuspectProfile:
     suspect_id: int
     assignment: tuple[tuple[str, str], ...]
 
-    def value_of(self, attribute: str) -> str:
-        for name, value in self.assignment:
-            if name == attribute:
-                return value
-        raise KeyError(attribute)
-
     def as_dict(self) -> dict[str, str]:
         return dict(self.assignment)
 
@@ -293,12 +287,12 @@ def generate_game(
 
 @dataclass
 class Message:
-    """A rendered channel entry plus its structured payload."""
+    """A rendered channel entry plus the fields it was rendered from."""
 
     author: str
     kind: MessageKind
     text: str
-    payload: dict = field(default_factory=dict)
+    fields: dict = field(default_factory=dict)
 
 
 class CommunicationChannel:

@@ -147,13 +147,12 @@ def gen_dataset(
     variant: str = "asymmetric",
     n_suspects: int = 10,
     turn_limit: int = 31,
-    commons_train: Optional[int] = None,
-    commons_validation: Optional[int] = None,
 ) -> SplitManifest:
     """Dataset splits: whodunit games pairwise distinct in (suspect
     profiles, culprit); commons R0 pools shuffled into disjoint train and
     validation parts with the fixed test list. A size of None takes the
-    environment's default: 210/90/180 games, or 13/7 R0 values."""
+    environment's default: 210/90/180 games, or 13/7 R0 values. A commons
+    test size is refused, since its test list is fixed."""
     if env == "whodunit":
         sizes = tuple(d if n is None else n for n, d in zip(sizes, (210, 90, 180)))
         total = sum(sizes)
@@ -179,16 +178,17 @@ def gen_dataset(
     if env == "commons":
         import random as _random
 
-        commons_train = 13 if commons_train is None else commons_train
-        commons_validation = 7 if commons_validation is None else commons_validation
-        if commons_train + commons_validation > len(COMMONS_TRAIN_POOL):
+        if sizes[2] is not None:
+            raise ValueError(f"commons test size {sizes[2]}: the test list is fixed")
+        train, validation = (d if n is None else n for n, d in zip(sizes, (13, 7)))
+        if train + validation > len(COMMONS_TRAIN_POOL):
             raise InfeasibleRequestError("train+validation exceed the R0 pool")
         pool = list(COMMONS_TRAIN_POOL)
         _random.Random(seed).shuffle(pool)
         return SplitManifest(
             env=env,
-            train=sorted(pool[:commons_train]),
-            validation=sorted(pool[commons_train : commons_train + commons_validation]),
+            train=sorted(pool[:train]),
+            validation=sorted(pool[train : train + validation]),
             test=list(COMMONS_TEST_R0),
         )
     raise ValueError(f"unknown env {env!r}")
@@ -252,6 +252,15 @@ def check_config(config: ExperimentConfig) -> None:
     _one_of("intervention.kind", config.intervention.kind.value, ENV_INTERVENTIONS[config.env])
     commons = config.env == "commons"
     roles = ("harvester",) if commons else VARIANT_ROLES[Variant(config.variant).value]
+    if not commons and Variant(config.variant) is Variant.SYMMETRIC:
+        attributes = len(AttributeSchema.for_variant(Variant.SYMMETRIC).names)
+        if config.n_agents < 1:
+            raise ValueError(f"n_agents: {config.n_agents} is below 1")
+        if config.n_agents * config.facts_per_agent > attributes:
+            raise ValueError(
+                f"n_agents x facts_per_agent: {config.n_agents} x {config.facts_per_agent} "
+                f"facts exceed the {attributes} attributes"
+            )
     for role, spec in config.agents.items():
         _one_of("agents", role, () if commons else roles)
         key, backend = f"agents.{role}", spec.get("type", "scripted")

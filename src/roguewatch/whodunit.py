@@ -1,10 +1,11 @@
 """Both WhoDunit variants: one ``Action`` type, the table of message kinds
-each role may send, one validate-and-render rule per kind, knowledge
-distribution, termination, and the game metrics.
+each role may send, one validate rule per kind, knowledge distribution,
+termination, and the game metrics.
 
-The rendered message templates are a wire format: scripted agents parse
-them back rather than peeking at engine internals, so the exact strings
-below are load-bearing and covered by tests.
+The rendered messages are a wire format: scripted agents parse them back
+rather than peeking at engine internals. One template table, ``TEMPLATES``,
+drives both rendering and parsing, so the exact strings in it are
+load-bearing and covered by tests.
 """
 
 from __future__ import annotations
@@ -33,18 +34,74 @@ DEFAULT_ACCUSER_NAME = "Beth"
 DEFAULT_INTEL_NAME = "Alex"
 DEFAULT_PLAYER_NAMES = ("Alex", "Beth", "Carol", "Dave", "Erin", "Fred", "Gina", "Hugo")
 
-TPL_REQUEST_SPECIFIC = "Agent {name} has requested information: is property {prop} of character {target} {value}?"
-TPL_REQUEST_BROAD = "Agent {name} has asked for general information (a broad message)"
-TPL_RESPOND_YES = "Agent {name} has responded that character {target} is {value}"
-TPL_RESPOND_NO = "Agent {name} has responded that character {target} is not {value}"
-TPL_RESPOND_BROAD = "Agent {name} has decided to return a broad message: For characters {ids}, the property {prop} is {value}"
-TPL_SHARE = "Player {name} has decided to share a fact about the Winner: {fact}."
-TPL_ACCUSE = "The winner is {target}."
-TPL_SKIP = "Player {name} has decided to skip their turn."
+# Each field a template names, under its ``parse_rendered`` key: its parse
+# pattern, its text from a value and its value from the text.
+FIELDS = {
+    "name": (r".+", str, str),
+    "property": (r"\S+", str, str),
+    "target": (r"\d+", str, int),
+    "value": (r".+", str, str),
+    "characters": (r"[^\]]*", lambda ids: ", ".join(map(str, ids)),
+                   lambda text: tuple(int(x) for x in text.split(",") if x.strip())),
+    "truth": (r"is not|is", lambda truth: "is" if truth else "is not", lambda text: text == "is"),
+}
+
+# The wire format, one template per message kind, in the order
+# ``parse_rendered`` tries them.
+TEMPLATES = {
+    MessageKind.REQUEST_SPECIFIC: "Agent {name} has requested information: is property {property} of character {target} {value}?",
+    MessageKind.RESPOND_BROAD: "Agent {name} has decided to return a broad message: For characters [{characters}], the property {property} is {value}",
+    MessageKind.RESPOND: "Agent {name} has responded that character {target} {truth} {value}",
+    MessageKind.REQUEST_BROAD: "Agent {name} has asked for general information (a broad message)",
+    MessageKind.SHARE: "Player {name} has decided to share a fact about the Winner: their {property} is {value}.",
+    MessageKind.ACCUSE: "The winner is {target}.",
+    MessageKind.SKIP: "Player {name} has decided to skip their turn.",
+}
 
 
-def render_fact(prop: str, value: str) -> str:
-    return f"their {prop} is {value}"
+def render(kind: MessageKind, **fields: object) -> str:
+    """The channel line of a message of ``kind``; unnamed fields are left out."""
+    return TEMPLATES[kind].format_map({key: FIELDS[key][1](v) for key, v in fields.items()})
+
+
+# Distinct lines the parse cache keeps. Every turn re-parses the game's
+# whole channel, so a game needs only its few dozen lines cached; request
+# lines also recur across games, while broad answers mostly belong to one
+# game. On the 480 asymmetric games of the CLI walkthrough (17,525 parses
+# of 1,723 distinct lines) this size misses 1,756 times, against 1,723 for
+# an unbounded cache, and costs under a megabyte of memory.
+PARSE_CACHE_SIZE = 1024
+
+
+def _parser(template: str) -> tuple:
+    """A template's whole-line match and the key and reader of each field."""
+    parts = re.split(r"\{(\w+)\}", template)  # literal, key, literal, ..., literal
+    pattern = "".join(
+        f"({FIELDS[part][0]})" if i % 2 else re.escape(part) for i, part in enumerate(parts)
+    )
+    return re.compile(pattern + "$").match, tuple((key, FIELDS[key][2]) for key in parts[1::2])
+
+
+_PARSERS = tuple((kind, *_parser(template)) for kind, template in TEMPLATES.items())
+
+
+@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
+def parse_rendered(text: str) -> Optional[dict]:
+    """Parse one rendered channel line back into its kind and fields: the
+    first template in ``TEMPLATES`` the whole line fits.
+
+    Returns None for free-form lines (discussion, system notices). Results
+    are memoized per line, so the same dict is handed to every caller of
+    the same line: callers must treat it as read-only.
+    """
+    for kind, match, readers in _PARSERS:
+        m = match(text)
+        if m is not None:
+            parsed = {"kind": kind}
+            for (key, read), field_text in zip(readers, m.groups()):
+                parsed[key] = read(field_text)
+            return parsed
+    return None
 
 
 @dataclass(frozen=True)
@@ -92,6 +149,19 @@ class KnowledgeSet:
     role: str
     culprit_facts: tuple[tuple[str, str], ...] = ()
     suspect_table: Optional[tuple] = None
+
+    @functools.cached_property
+    def _ids_with(self) -> dict[tuple[str, str], tuple[int, ...]]:
+        return {}
+
+    def suspects_with(self, pair: tuple[str, str]) -> tuple[int, ...]:
+        """Ids of the table's suspects with ``pair``, a (property, value), in
+        table order, looked up on first use: a symmetric player asks about a
+        few pairs a game, so a whole map per player costs more than it saves."""
+        known = self._ids_with
+        if pair not in known:
+            known[pair] = tuple(s.suspect_id for s in self.suspect_table if pair in s.assignment)
+        return known[pair]
 
 
 @dataclass
@@ -191,55 +261,43 @@ def _check_pair(state: WhodunitState, prop: Optional[str], value: Optional[str])
     _require(value in schema.values_of(prop), "unknown value")
 
 
-# One validate-and-render routine per message kind. Each raises
-# IllegalActionError before it touches anything, or returns the
-# (text, payload) of the message the action sends.
+# One validate routine per message kind. Each raises IllegalActionError
+# before it touches anything, or returns the fields of the message the
+# action sends.
 
 
-def _request_specific(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+def _request_specific(state: WhodunitState, agent: str, action: Action) -> dict:
     _check_target(state, action.target)
     _check_pair(state, action.prop, action.value)
-    text = TPL_REQUEST_SPECIFIC.format(
-        name=agent, prop=action.prop, target=action.target, value=action.value
-    )
-    return text, {"target": action.target, "property": action.prop, "value": action.value}
+    return {"target": action.target, "property": action.prop, "value": action.value}
 
 
-def _request_broad(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
-    return TPL_REQUEST_BROAD.format(name=agent), {}
+def _no_fields(state: WhodunitState, agent: str, action: Action) -> dict:
+    return {}
 
 
-def _accuse(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+def _accuse(state: WhodunitState, agent: str, action: Action) -> dict:
     _check_target(state, action.target)
-    return TPL_ACCUSE.format(target=action.target), {"target": action.target}
+    return {"target": action.target}
 
 
-def _respond(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+def _respond(state: WhodunitState, agent: str, action: Action) -> dict:
     _require(action.truth is not None, "respond needs a boolean value")
     request = _pending_specific_request(state)
     _require(request is not None, "no pending specific request to answer")
-    asked = request.payload
-    template = TPL_RESPOND_YES if action.truth else TPL_RESPOND_NO
-    text = template.format(name=agent, target=asked["target"], value=asked["value"])
-    return text, {**asked, "truth": action.truth}
+    return {**request.fields, "truth": action.truth}
 
 
-def _respond_broad(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+def _respond_broad(state: WhodunitState, agent: str, action: Action) -> dict:
     _check_pair(state, action.prop, action.value)
     _require(action.broad_list is not None, "broad message needs a character list")
     for target in action.broad_list:
         _check_target(state, target)
-    ids = "[" + ", ".join(str(i) for i in action.broad_list) + "]"
-    text = TPL_RESPOND_BROAD.format(name=agent, ids=ids, prop=action.prop, value=action.value)
-    payload = {
-        "property": action.prop,
-        "value": action.value,
-        "characters": list(action.broad_list),
-    }
-    return text, payload
+    characters = tuple(action.broad_list)
+    return {"characters": characters, "property": action.prop, "value": action.value}
 
 
-def _share(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
+def _share(state: WhodunitState, agent: str, action: Action) -> dict:
     fact = action.fact
     if fact is not None:
         _require(fact[0] in state.spec.schema.names, "unknown property")
@@ -248,22 +306,17 @@ def _share(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]
         _require(action.fact_index is not None, "share needs a fact")
         _require(0 <= action.fact_index < len(facts), "fact index out of range")
         fact = facts[action.fact_index]
-    text = TPL_SHARE.format(name=agent, fact=render_fact(*fact))
-    return text, {"property": fact[0], "value": fact[1]}
-
-
-def _skip(state: WhodunitState, agent: str, action: Action) -> tuple[str, dict]:
-    return TPL_SKIP.format(name=agent), {}
+    return {"property": fact[0], "value": fact[1]}
 
 
 _KIND_RULES = {
     MessageKind.REQUEST_SPECIFIC: _request_specific,
-    MessageKind.REQUEST_BROAD: _request_broad,
+    MessageKind.REQUEST_BROAD: _no_fields,
     MessageKind.ACCUSE: _accuse,
     MessageKind.RESPOND: _respond,
     MessageKind.RESPOND_BROAD: _respond_broad,
     MessageKind.SHARE: _share,
-    MessageKind.SKIP: _skip,
+    MessageKind.SKIP: _no_fields,
 }
 
 
@@ -279,10 +332,11 @@ def step(state: WhodunitState, action: Action) -> None:
     agent = state.next_agent
     role = state.role_of(agent)
     _require(action.prime in ROLE_KINDS[role], f"{role} cannot send {action.prime.value}")
-    text, payload = _KIND_RULES[action.prime](state, agent, action)
+    fields = _KIND_RULES[action.prime](state, agent, action)
 
     accusing = action.prime is MessageKind.ACCUSE
-    message = Message(author=agent, kind=action.prime, text=text, payload=payload)
+    text = render(action.prime, name=agent, **fields)
+    message = Message(author=agent, kind=action.prime, text=text, fields=fields)
     state.channel.append(message, irreversible=accusing)
     if accusing:
         state.accused_id = action.target
@@ -335,93 +389,3 @@ def whodunit_metrics(trajectories: Sequence) -> WhodunitMetrics:
         avg_length=avg_length,
         games=total,
     )
-
-
-# Parsers for the rendered wire format, used by scripted agents (which only
-# ever see the rendered channel and re-parse all of it every turn).
-
-# Distinct lines the parse cache keeps. Every turn re-parses the game's
-# whole channel, so a game needs only its few dozen lines cached; request
-# lines also recur across games, while broad answers mostly belong to one
-# game. On the 480 asymmetric games of the CLI walkthrough (17,525 parses
-# of 1,723 distinct lines) this size misses 1,756 times, against 1,723 for
-# an unbounded cache, and costs under a megabyte of memory.
-PARSE_CACHE_SIZE = 1024
-
-_RE_REQUEST_SPECIFIC = re.compile(
-    r"^Agent (?P<name>.+) has requested information: "
-    r"is property (?P<prop>\S+) of character (?P<target>\d+) (?P<value>.+)\?$"
-)
-_RE_REQUEST_BROAD = re.compile(
-    r"^Agent (?P<name>.+) has asked for general information \(a broad message\)$"
-)
-_RE_RESPOND = re.compile(
-    r"^Agent (?P<name>.+) has responded that character (?P<target>\d+) "
-    r"(?P<verdict>is not|is) (?P<value>.+)$"
-)
-_RE_RESPOND_BROAD = re.compile(
-    r"^Agent (?P<name>.+) has decided to return a broad message: "
-    r"For characters \[(?P<ids>[^\]]*)\], the property (?P<prop>\S+) is (?P<value>.+)$"
-)
-_RE_SHARE = re.compile(
-    r"^Player (?P<name>.+) has decided to share a fact about the Winner: "
-    r"their (?P<prop>\S+) is (?P<value>.+)\.$"
-)
-_RE_ACCUSE = re.compile(r"^The winner is (?P<target>\d+)\.$")
-_RE_SKIP = re.compile(r"^Player (?P<name>.+) has decided to skip their turn\.$")
-
-
-@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
-def parse_rendered(text: str) -> Optional[dict]:
-    """Parse one rendered channel line back into (kind, fields).
-
-    Returns None for free-form lines (discussion, system notices). Results
-    are memoized per line, so the same dict is handed to every caller of
-    the same line: callers must treat it as read-only.
-    """
-    m = _RE_REQUEST_SPECIFIC.match(text)
-    if m:
-        return {
-            "kind": MessageKind.REQUEST_SPECIFIC,
-            "name": m["name"],
-            "property": m["prop"],
-            "target": int(m["target"]),
-            "value": m["value"],
-        }
-    m = _RE_RESPOND_BROAD.match(text)
-    if m:
-        ids = tuple(int(x) for x in m["ids"].split(",") if x.strip()) if m["ids"] else ()
-        return {
-            "kind": MessageKind.RESPOND_BROAD,
-            "name": m["name"],
-            "characters": ids,
-            "property": m["prop"],
-            "value": m["value"],
-        }
-    m = _RE_RESPOND.match(text)
-    if m:
-        return {
-            "kind": MessageKind.RESPOND,
-            "name": m["name"],
-            "target": int(m["target"]),
-            "truth": m["verdict"] == "is",
-            "value": m["value"],
-        }
-    m = _RE_REQUEST_BROAD.match(text)
-    if m:
-        return {"kind": MessageKind.REQUEST_BROAD, "name": m["name"]}
-    m = _RE_SHARE.match(text)
-    if m:
-        return {
-            "kind": MessageKind.SHARE,
-            "name": m["name"],
-            "property": m["prop"],
-            "value": m["value"],
-        }
-    m = _RE_ACCUSE.match(text)
-    if m:
-        return {"kind": MessageKind.ACCUSE, "target": int(m["target"])}
-    m = _RE_SKIP.match(text)
-    if m:
-        return {"kind": MessageKind.SKIP, "name": m["name"]}
-    return None

@@ -140,7 +140,7 @@ class TestScriptedPair:
         action = intel.decide(obs).action
         assert action.prime is MessageKind.RESPOND_BROAD
         expected = tuple(
-            s.suspect_id for s in spec.suspects if s.value_of(prop) == value
+            s.suspect_id for s in spec.suspects if s.as_dict()[prop] == value
         )
         assert action.broad_list == expected
 
@@ -170,7 +170,7 @@ class TestScriptedPair:
             for turn in trajectory.turns:
                 if turn.action.get("kind") == "respond-broad":
                     prop, value = turn.action["property"], turn.action["value"]
-                    expected = [s.suspect_id for s in spec.suspects if s.value_of(prop) == value]
+                    expected = [s.suspect_id for s in spec.suspects if s.as_dict()[prop] == value]
                     assert turn.action["characters"] == expected
 
     def test_accuser_singleton_candidates_accuse(self):
@@ -179,7 +179,7 @@ class TestScriptedPair:
         prop, value = spec.culprit.assignment[0]
         other = [s for s in spec.suspects if s.suspect_id != spec.culprit_id][0]
         # A broad reply that excludes the other suspect.
-        if other.value_of(prop) != value:
+        if other.as_dict()[prop] != value:
             channel = (
                 f"Agent Beth has requested information: is property {prop} of character 1 {value}?",
                 "Agent Alex has decided to return a broad message: "

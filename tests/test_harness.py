@@ -3,16 +3,27 @@
 from __future__ import annotations
 
 import json
+import re
 import statistics
+import threading
 import urllib.error
 from dataclasses import replace
+from typing import Callable
 
 import pytest
 
 from roguewatch import harness, llm
+from roguewatch.agents import AgentObservation, ScriptedAccuser, ScriptedIntel
 from roguewatch.cli import main as cli_main
 from roguewatch.commons import CommonsConfig, RoundRecord, commons_metrics
-from roguewatch.core import Outcome, Trajectory, TurnRecord, generate_game, parse_trajectory_jsonl
+from roguewatch.core import (
+    MessageKind,
+    Outcome,
+    Trajectory,
+    TurnRecord,
+    generate_game,
+    parse_trajectory_jsonl,
+)
 from roguewatch.errors import ApiError, InsufficientDataError
 from roguewatch.harness import (
     COMMONS_TEST_R0,
@@ -29,6 +40,7 @@ from roguewatch.harness import (
 from roguewatch.intervention import InterventionKind, InterventionPolicy
 from roguewatch.monitor import MonitorModel
 from roguewatch.uncertainty import FeatureVector
+from roguewatch.whodunit import ROLE_ACCUSER, ROLE_INTEL, new_game
 
 from .test_golden import GOLDEN
 
@@ -245,6 +257,9 @@ class TestConfigGate:
                                      "behaviors": {"halucinate-fact": 1.0}}}},
              "asymmetric", "agents.accuser: behavior 'halucinate-fact'"),
             ({"n_suspects": 6}, "asymmetric", "config: 'n_suspects'"),
+            ({"variant": "symmetric", "n_agents": 0}, "symmetric", "n_agents: 0 is below 1"),
+            ({"variant": "symmetric", "n_agents": 8, "facts_per_agent": 3}, "symmetric",
+             "n_agents x facts_per_agent: 8 x 3 facts exceed the 20 attributes"),
         ],
     )
     def test_refused_by_key(self, obj, manifest, match, tmp_path):
@@ -565,6 +580,89 @@ class TestWorkerPool:
         report = run_experiment(config, small_manifest(1, 1, 2), split="test")
         assert pools == [2]
         assert report["invalid"] == 2
+
+
+def _completion(text: str) -> dict:
+    """A chat-completions reply with top-2 logprobs; each numeral is a token."""
+    content = [
+        {"token": token, "logprob": -0.1,
+         "top_logprobs": [{"token": token, "logprob": -0.1}, {"token": "x", "logprob": -2.5}]}
+        for token in re.findall(r"\d+|\D+", text)
+    ]
+    return {"choices": [{"message": {"content": text}, "logprobs": {"content": content}}]}
+
+
+def oracle_transport(specs, calls: list) -> Callable:
+    """A transport that answers each accuser or intel prompt as the scripted
+    oracle of that role would. The first request of all raises a URLError,
+    and each game's first prompt, with an empty channel, gets a reply with
+    no JSON in it unless it carries the format reminder."""
+    lock = threading.Lock()
+
+    def transport(config, payload):
+        system, user = (m["content"] for m in payload["messages"])
+        with lock:
+            calls.append(payload)
+            if len(calls) == 1:
+                raise urllib.error.URLError("connection reset")
+        reminded = user.endswith(llm.FORMAT_REMINDER)
+        channel = user.split("is:\n", 1)[1].split("\n\nThe current turn is", 1)[0]
+        if channel == "(empty)" and not reminded:
+            return _completion("Character 1 deserves a closer look.")
+        accuser = "The Winner is described as:" in system
+        spec = next(
+            s for s in specs
+            if (llm.describe_winner(s.culprit.assignment) if accuser
+                else llm.describe_suspects(s.suspects)) in system
+        )
+        role = ROLE_ACCUSER if accuser else ROLE_INTEL
+        obs = AgentObservation(
+            knowledge=next(k for k in new_game(spec).knowledge.values() if k.role == role),
+            channel_view=() if channel == "(empty)" else tuple(channel.split("\n")),
+            turn_index=0,
+            turn_limit=spec.turn_limit,
+            role=role,
+            n_suspects=len(spec.suspects),
+        )
+        if accuser:
+            action = ScriptedAccuser().decide(obs).action
+            body = {"action": 3 if action.prime is MessageKind.ACCUSE else 1,
+                    "character": action.target, "property": action.prop, "value": action.value}
+        else:
+            action = ScriptedIntel().decide(obs).action
+            body = {"action": 2, "value": f"{action.prop}-{action.value}",
+                    "character": list(action.broad_list)}
+        return _completion(json.dumps(body))
+
+    return transport
+
+
+class TestLlmPath:
+    """LLM roles through ``run_experiment`` on the thread pool: prompts,
+    output parsing, both retry paths and position extraction."""
+
+    def test_llm_pair_plays_as_the_scripted_pair(self, tmp_path, monkeypatch):
+        manifest = small_manifest(0, 0, 6)
+        calls: list = []
+        monkeypatch.setattr(llm, "_http_transport", oracle_transport(manifest.test, calls))
+        llm_spec = {"type": "llm", "config": LLM_CONFIG}
+        config = scripted_config(agents={"accuser": llm_spec, "intel": llm_spec}, parallelism=2)
+        report = run_experiment(config, manifest, split="test", output_dir=tmp_path / "llm")
+        run_experiment(scripted_config(), manifest, split="test", output_dir=tmp_path / "scripted")
+
+        assert report["invalid"] == 0
+        games, expected = (
+            parse_trajectory_jsonl((tmp_path / run / "trajectories.jsonl").read_text())
+            for run in ("llm", "scripted")
+        )
+        assert len(games) == 6
+        for game, reference in zip(games, expected):
+            assert [t["action"] for t in game["turns"]] == [t["action"] for t in reference["turns"]]
+            assert (game["outcome"], game["accused"]) == (reference["outcome"], reference["accused"])
+            assert all(t["features"] is not None for t in game["turns"])
+        turns = sum(len(game["turns"]) for game in games)
+        format_retries = len(games)
+        assert len(calls) == turns + format_retries + 1
 
 
 class TestMonitoredRuns:
@@ -911,3 +1009,11 @@ class TestCli:
         assert cli_main(["gen-dataset", "--train", "3", "--out", str(whodunit_path)]) == 0
         whodunit = SplitManifest.from_json_obj(json.loads(whodunit_path.read_text()))
         assert [len(whodunit.split(n)) for n in ("train", "validation", "test")] == [3, 90, 180]
+
+    def test_commons_sizes_come_from_sizes(self, tmp_path):
+        manifest = gen_dataset("commons", sizes=(5, 3, None), seed=4)
+        assert [len(manifest.split(n)) for n in ("train", "validation", "test")] == [5, 3, 20]
+        out = tmp_path / "commons.json"
+        with pytest.raises(ValueError, match="commons test size 4: the test list is fixed"):
+            cli_main(["gen-dataset", "--env", "commons", "--test", "4", "--out", str(out)])
+        assert not out.exists()

@@ -21,11 +21,13 @@ from roguewatch.whodunit import (
     ROLE_ACCUSER,
     ROLE_INTEL,
     ROLE_PLAYER,
+    TEMPLATES,
     Action,
     consume_turn,
     deal_symmetric_facts,
     new_game,
     parse_rendered,
+    render,
     step,
     whodunit_metrics,
 )
@@ -118,6 +120,41 @@ class TestTemplates:
         assert parsed[1]["kind"] is MessageKind.RESPOND
         assert parsed[1]["truth"] is True
         assert parse_rendered("free-form chatter") is None
+
+
+# One message of every kind, with the fields it is rendered from.
+EVERY_KIND = [
+    (MessageKind.REQUEST_SPECIFIC, {"property": "mood", "target": 2, "value": "sad"}),
+    (MessageKind.RESPOND_BROAD, {"characters": (1, 3), "property": "hat", "value": "brown"}),
+    (MessageKind.RESPOND_BROAD, {"characters": (), "property": "hat", "value": "black"}),
+    (MessageKind.RESPOND, {"target": 1, "truth": True, "value": "brown"}),
+    (MessageKind.RESPOND, {"target": 12, "truth": False, "value": "dark brown"}),
+    (MessageKind.REQUEST_BROAD, {}),
+    (MessageKind.SHARE, {"property": "shirt_color", "value": "pink"}),
+    (MessageKind.ACCUSE, {"target": 3}),
+    (MessageKind.SKIP, {}),
+]
+
+
+class TestTemplateTable:
+    def test_every_kind_has_a_case(self):
+        assert {kind for kind, _ in EVERY_KIND} == set(TEMPLATES)
+
+    @pytest.mark.parametrize("kind, fields", EVERY_KIND)
+    def test_a_rendered_message_parses_back_to_its_kind_and_fields(self, kind, fields):
+        line = render(kind, name="Carol", **fields)
+        named = {} if kind is MessageKind.ACCUSE else {"name": "Carol"}
+        assert parse_rendered(line) == {"kind": kind, **named, **fields}
+        assert parse_rendered.__wrapped__(line) == parse_rendered(line)
+
+    def test_step_keeps_the_fields_it_rendered(self):
+        state = new_game(tiny_spec())
+        step(state, Action(MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"))
+        step(state, Action(MessageKind.RESPOND, truth=False))
+        request, answer = state.channel.messages
+        assert request.fields == {"target": 1, "property": "hat", "value": "brown"}
+        assert answer.fields == {**request.fields, "truth": False}
+        assert answer.text == render(MessageKind.RESPOND, name="Alex", **answer.fields)
 
 
 class TestStep:
@@ -287,7 +324,7 @@ class TestDealing:
         knowledge = deal_symmetric_facts(spec, 1, 1, seed=0)
         (ks,) = knowledge.values()
         prop, value = ks.culprit_facts[0]
-        assert spec.culprit.value_of(prop) == value
+        assert spec.culprit.as_dict()[prop] == value
 
     def test_infeasible_when_facts_exceed_attributes(self):
         spec = generate_game("symmetric", 3, 20, seed=2)
