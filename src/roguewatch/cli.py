@@ -8,6 +8,7 @@ import logging
 import sys
 from pathlib import Path
 
+from .errors import RoguewatchError
 from .harness import (
     ExperimentConfig,
     SplitManifest,
@@ -128,7 +129,11 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.DEBUG if args.verbose else logging.WARNING,
         format="%(asctime)s [%(levelname)s] %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ValueError, OSError, RoguewatchError) as exc:
+        print(f"roguewatch: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

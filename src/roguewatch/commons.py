@@ -61,7 +61,7 @@ class CommonsState:
         return cls(config=config, stock=config.r0)
 
     @property
-    def finished(self) -> bool:
+    def terminal(self) -> bool:
         return self.round_index > self.config.m
 
 
@@ -72,7 +72,7 @@ def harvest_phase(state: CommonsState, requests: dict[str, float], seed: int) ->
     is order-invariant (only the attribution changes). Places a channel
     checkpoint: harvests are irreversible.
     """
-    if state.finished:
+    if state.terminal:
         raise ValueError("all rounds already played")
     for agent, amount in requests.items():
         if amount < 0:

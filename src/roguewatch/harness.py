@@ -1,6 +1,6 @@
-"""Experiment orchestration: dataset splits, seeded batched runs with
-optional monitoring and interventions, monitor training from trajectory
-logs, and metric reports with standard errors.
+"""Experiment orchestration: dataset splits, seeded batched runs, monitor
+training from logs and reports with standard errors. Every game of a run
+plays through one monitored ``drive`` loop, over a whodunit or commons env.
 
 Trajectory JSONL never contains timestamps, so re-running a configuration
 with scripted or synthetic backends reproduces byte-identical logs.
@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Optional, Sequence
 
 from .agents import (
+    AgentDecision,
     AgentObservation,
     RogueAgent,
     RogueProfile,
@@ -75,8 +76,6 @@ from .whodunit import (
 )
 
 logger = logging.getLogger("roguewatch.harness")
-
-Monitor = MonitorModel | RandomMonitor
 
 BACKEND_KEYS = {
     "scripted": {"type", "broad_for_specific"},
@@ -153,6 +152,9 @@ def gen_dataset(
     validation parts with the fixed test list. A size of None takes the
     environment's default: 210/90/180 games, or 13/7 R0 values. A commons
     test size is refused, since its test list is fixed."""
+    for name, n in zip(("train", "validation", "test"), sizes):
+        if n is not None and n < 0:
+            raise ValueError(f"{name} size {n} is negative")
     if env == "whodunit":
         sizes = tuple(d if n is None else n for n, d in zip(sizes, (210, 90, 180)))
         total = sum(sizes)
@@ -330,46 +332,143 @@ def _scripted_factory(role: str, cfg: dict) -> Callable[[], object]:
     return ScriptedSymmetricPlayer
 
 
-def drive_whodunit(
-    state: WhodunitState,
-    backends: dict[str, object],
-    monitors: Optional[dict[str, Monitor]] = None,
-    policy: InterventionPolicy = InterventionPolicy(),
-) -> Trajectory:
-    """Play one game to termination, monitoring each decision before it is
-    committed. A triggered full reset discards the decision, empties the
-    channel, resets every backend and the in-game turn counter, and lets
-    the cumulative dialog counter keep running."""
-    if policy.kind is InterventionKind.NONE or monitors is None:
-        monitors = {}  # nothing is scored, so no random draw is spent
-    budget = TriggerBudget(policy.cap_per_role)
-    trajectory = Trajectory(game=state.spec)
-    dialog = 0
-    while not state.terminal:
+class WhodunitEnv:
+    """One whodunit game for ``drive``; a reset is a full reset."""
+
+    def __init__(self, spec: GameSpec, config: ExperimentConfig, game_seed: int) -> None:
+        self.state = new_game(
+            spec,
+            n_agents=config.n_agents,
+            facts_per_agent=config.facts_per_agent,
+            deal_seed=derive_seed(game_seed, "deal"),
+        )
+        self.spec = spec
+        self.backends = build_whodunit_backends(self.state, config.agents, spec, game_seed)
+        self.roles = {self.state.role_of(a) for a in self.state.order}
+
+    def observe(self) -> tuple[str, AgentObservation]:
+        state = self.state
         agent = state.next_agent
-        role = state.role_of(agent)
-        obs = AgentObservation(
+        return agent, AgentObservation(
             knowledge=state.knowledge[agent],
             channel_view=tuple(state.channel.rendered()),
             turn_index=state.turn_index,
             turn_limit=state.spec.turn_limit,
-            role=role,
+            role=state.role_of(agent),
             n_suspects=len(state.spec.suspects),
         )
-        dialog += 1
+
+    def apply(self, decision: Optional[AgentDecision], reset: bool) -> dict:
+        if decision is None:
+            consume_turn(self.state)
+            return {"kind": "skip"}
+        if reset:
+            full_reset(self.state)
+            for backend in self.backends.values():
+                backend.reset()
+        else:
+            step(self.state, decision.action)
+        return decision.action.to_json_obj()
+
+    def finish(self, trajectory: Trajectory) -> None:
+        trajectory.outcome = self.state.outcome
+        trajectory.accused_id = self.state.accused_id
+
+
+class CommonsEnv:
+    """One commons trial for ``drive``: a round harvests, posts the scripted
+    discussion and takes one one-hot decision by agent ``all``, the env
+    itself. A round reset posts the discussion again before the regrowth."""
+
+    roles = ("harvester",)
+    spec = None
+
+    def __init__(self, r0: float, config: ExperimentConfig, game_seed: int) -> None:
+        self.config = CommonsConfig(
+            r0=float(r0),
+            gamma=config.commons_gamma,
+            m=config.commons_m,
+            n_agents=len(config.commons_policies),
+        )
+        self.policies = [
+            COMMONS_POLICIES[kind](f"p{index}", self.config.n_agents)
+            for index, kind in enumerate(config.commons_policies)
+        ]
+        self.state = CommonsState.fresh(self.config)
+        self.backends = {"all": self}
+        self.game_seed = game_seed
+
+    def decide(self, obs: AgentObservation) -> AgentDecision:
+        return AgentDecision(action=None, positions=((1.0,) + (0.0,) * 9,))
+
+    def _discuss(self) -> None:
+        for p in self.policies:
+            post_discussion(self.state, p.agent_id, p.discussion_line(self.state.stock))
+
+    def observe(self) -> tuple[str, AgentObservation]:
+        state = self.state
+        requests = {p.agent_id: p.request(state.stock) for p in self.policies}
+        seed = derive_seed(self.game_seed, "order", state.round_index - 1)
+        harvest_phase(state, requests, seed=seed)
+        self._discuss()
+        return "all", AgentObservation(
+            knowledge=None,
+            channel_view=tuple(state.channel.rendered()),
+            turn_index=state.round_index,
+            turn_limit=self.config.m,
+            role="harvester",
+            n_suspects=0,
+        )
+
+    def apply(self, decision: Optional[AgentDecision], reset: bool) -> dict:
+        if reset:
+            round_reset(self.state)
+            self._discuss()
+        regrow(self.state)
+        return {"kind": "harvest", **self.state.history[-1].to_json_obj()}
+
+    def finish(self, trajectory: Trajectory) -> None:
+        metrics = commons_metrics(self.state.history, self.config)
+        trajectory.outcome = Outcome.SURVIVED if metrics.survival_rate else Outcome.COLLAPSED
+        trajectory.totals = {
+            "survival_time": metrics.survival_time,
+            "efficiency": metrics.efficiency,
+        }
+
+
+def drive(
+    env: WhodunitEnv | CommonsEnv,
+    config: ExperimentConfig,
+    game_seed: int,
+    monitors: Optional[dict[str, MonitorModel]] = None,
+) -> Trajectory:
+    """Play one game to its end, monitoring each decision before the env
+    applies it. A random monitor source gives each role its own seeded
+    RandomMonitor, and a fitted monitor wins for its role; under intervention
+    ``none`` nothing is scored, so no random draw is spent."""
+    policy = config.intervention
+    models: dict[str, MonitorModel | RandomMonitor] = {}
+    if policy.kind is not InterventionKind.NONE:
+        if config.monitor.get("source") == "random":
+            p = config.monitor["p"]
+            models = {r: RandomMonitor(p, derive_seed(game_seed, "rm", r)) for r in env.roles}
+        models.update(monitors or {})
+    resample = policy.kind is InterventionKind.RESAMPLE
+    budget = TriggerBudget(policy.cap_per_role)
+    trajectory = Trajectory(game=env.spec)
+    while not env.state.terminal:
+        agent, obs = env.observe()
+        backend = env.backends[agent]
         fired = False
-        intervention = None
         try:
-            decision = backends[agent].decide(obs)
+            decision = backend.decide(obs)
             features = extract_features(decision.positions, obs.turn_index)
-            model = monitors.get(role)
+            model = models.get(obs.role)
             if model is not None and features is not None:
                 fired = evaluate_trigger(
-                    model.predict_success(features), model.tau, budget, role
+                    model.predict_success(features), model.tau, budget, obs.role
                 )
-            if fired and policy.kind is InterventionKind.RESAMPLE:
-                intervention = policy.kind.value
-                backend = backends[agent]
+            if fired and resample:
                 if hasattr(backend, "resample"):
                     decision = backend.resample(obs, temperature=policy.resample_temperature)
                 else:
@@ -377,55 +476,26 @@ def drive_whodunit(
                 features = extract_features(decision.positions, obs.turn_index)
         except MalformedGenerationError:
             decision = features = None
-
+        try:
+            action = env.apply(decision, reset=fired and not resample)
+        except IllegalActionError:
+            action = {**env.apply(None, reset=False), "illegal": True}
         if decision is None:
-            consume_turn(state)
-            action = {"kind": "skip", "malformed": True}
-        elif fired and policy.kind is InterventionKind.FULL_RESET:
-            intervention = policy.kind.value
-            action = decision.action.to_json_obj()
-            full_reset(state)
-            for backend in backends.values():
-                backend.reset()
-        else:
-            try:
-                step(state, decision.action)
-                action = decision.action.to_json_obj()
-            except IllegalActionError:
-                consume_turn(state)
-                action = {"kind": "skip", "illegal": True}
+            action["malformed"] = True
         trajectory.turns.append(
             TurnRecord(
                 turn_index=obs.turn_index,
-                dialog_index=dialog,
+                dialog_index=len(trajectory.turns) + 1,
                 agent_id=agent,
-                role=role,
+                role=obs.role,
                 action=action,
                 features=features.to_json_obj() if features else None,
                 trigger_fired=fired,
-                intervention=intervention,
+                intervention=policy.kind.value if fired else None,
             )
         )
-    trajectory.outcome = state.outcome
-    trajectory.accused_id = state.accused_id
+    env.finish(trajectory)
     return trajectory
-
-
-def _game_monitors(
-    config: ExperimentConfig,
-    game_seed: int,
-    roles: Iterable[str],
-    monitors: Optional[dict[str, Monitor]],
-) -> dict[str, Monitor]:
-    """The monitors one game runs with: under a random monitor source every
-    role gets its own seeded RandomMonitor, and a fitted monitor wins for
-    its role."""
-    merged: dict[str, Monitor] = {}
-    if config.monitor.get("source") == "random":
-        p = config.monitor["p"]
-        merged = {role: RandomMonitor(p, derive_seed(game_seed, "rm", role)) for role in roles}
-    merged.update(monitors or {})
-    return merged
 
 
 def run_whodunit_game(
@@ -434,20 +504,7 @@ def run_whodunit_game(
     game_seed: int,
     monitors: Optional[dict[str, MonitorModel]] = None,
 ) -> Trajectory:
-    state = new_game(
-        spec,
-        n_agents=config.n_agents,
-        facts_per_agent=config.facts_per_agent,
-        deal_seed=derive_seed(game_seed, "deal"),
-    )
-    backends = build_whodunit_backends(state, config.agents, spec, game_seed)
-    roles = {state.role_of(a) for a in state.order}
-    return drive_whodunit(
-        state,
-        backends,
-        monitors=_game_monitors(config, game_seed, roles, monitors),
-        policy=config.intervention,
-    )
+    return drive(WhodunitEnv(spec, config, game_seed), config, game_seed, monitors)
 
 
 def run_commons_trial(
@@ -456,62 +513,8 @@ def run_commons_trial(
     game_seed: int,
     monitors: Optional[dict[str, MonitorModel]] = None,
 ) -> tuple[CommonsState, Trajectory]:
-    """One commons run: harvest, discuss (monitored), regrow, with
-    round-reset rollbacks of the discussion on trigger. Each round's
-    discussion is one monitored decision, logged as a harvester turn."""
-    commons_config = CommonsConfig(
-        r0=float(r0),
-        gamma=config.commons_gamma,
-        m=config.commons_m,
-        n_agents=len(config.commons_policies),
-    )
-    policies = [
-        COMMONS_POLICIES[kind](f"p{index}", commons_config.n_agents)
-        for index, kind in enumerate(config.commons_policies)
-    ]
-
-    model = _game_monitors(config, game_seed, ("harvester",), monitors).get("harvester")
-    if config.intervention.kind is not InterventionKind.ROUND_RESET:
-        model = None
-    budget = TriggerBudget(config.intervention.cap_per_role)
-
-    state = CommonsState.fresh(commons_config)
-    trajectory = Trajectory(game=None)
-    for round_index in range(commons_config.m):
-        requests = {p.agent_id: p.request(state.stock) for p in policies}
-        harvest_phase(state, requests, seed=derive_seed(game_seed, "order", round_index))
-        discussed = [(p.agent_id, p.discussion_line(state.stock)) for p in policies]
-        for agent_id, line in discussed:
-            post_discussion(state, agent_id, line)
-        features = extract_features(((1.0,) + (0.0,) * 9,), state.round_index)
-        fired = model is not None and evaluate_trigger(
-            model.predict_success(features), model.tau, budget, "harvester"
-        )
-        if fired:
-            round_reset(state)
-            for agent_id, line in discussed:
-                post_discussion(state, agent_id, line)
-        regrow(state)
-        record = state.history[-1]
-        trajectory.turns.append(
-            TurnRecord(
-                turn_index=record.round_index,
-                dialog_index=record.round_index,
-                agent_id="all",
-                role="harvester",
-                action={"kind": "harvest", **record.to_json_obj()},
-                features=features.to_json_obj(),
-                trigger_fired=fired,
-                intervention=InterventionKind.ROUND_RESET.value if fired else None,
-            )
-        )
-    metrics = commons_metrics(state.history, commons_config)
-    trajectory.outcome = Outcome.SURVIVED if metrics.survival_rate else Outcome.COLLAPSED
-    trajectory.totals = {
-        "survival_time": metrics.survival_time,
-        "efficiency": metrics.efficiency,
-    }
-    return state, trajectory
+    env = CommonsEnv(r0, config, game_seed)
+    return env.state, drive(env, config, game_seed, monitors)
 
 
 WHODUNIT_METRICS = ("success_rate", "precision", "avg_length")

@@ -93,6 +93,23 @@ class TestGenDataset:
         b = gen_dataset("whodunit", sizes=(4, 2, 2), seed=9, n_suspects=4)
         assert a.to_json_obj() == b.to_json_obj()
 
+    @pytest.mark.parametrize(
+        "env, sizes, split",
+        [
+            ("whodunit", (-1, 2, 3), "train"),
+            ("whodunit", (1, 2, -3), "test"),
+            ("commons", (-2, 3, None), "train"),
+            ("commons", (2, -3, None), "validation"),
+        ],
+    )
+    def test_negative_size_refused_by_split(self, env, sizes, split, monkeypatch):
+        def no_generation(*args):
+            raise AssertionError("a game was generated")
+
+        monkeypatch.setattr(harness, "generate_game", no_generation)
+        with pytest.raises(ValueError, match=f"^{split} size -[0-9] is negative$"):
+            gen_dataset(env, sizes=sizes, n_suspects=5)
+
     def test_manifest_roundtrip(self):
         manifest = small_manifest(2, 1, 1)
         restored = SplitManifest.from_json_obj(
@@ -818,6 +835,44 @@ class TestMonitoredRuns:
             assert model.validation_gain > 0
 
 
+class TestPatchedNames:
+    """The benchmark wraps ``step``, ``full_reset``, ``extract_features`` and
+    ``evaluate_trigger`` in ``harness``'s namespace, so both envs must call
+    them there: every call shows up in the trajectories."""
+
+    NAMES = ("step", "full_reset", "extract_features", "evaluate_trigger")
+
+    @pytest.mark.parametrize("name", ["random-full-reset", "commons-round-reset"])
+    def test_calls_match_the_trajectories(self, name, monkeypatch, tmp_path):
+        results: dict[str, list] = {}
+        for fn in self.NAMES:
+            def counting(*args, _wrapped=getattr(harness, fn), _out=results.setdefault(fn, [])):
+                _out.append(_wrapped(*args))
+                return _out[-1]
+
+            monkeypatch.setattr(harness, fn, counting)
+        factory, split, config, _, _ = GOLDEN[name]
+        run_experiment(
+            ExperimentConfig.from_json_obj(config), factory(), split=split, output_dir=tmp_path
+        )
+        games = parse_trajectory_jsonl((tmp_path / "trajectories.jsonl").read_text())
+        turns = [turn for game in games for turn in game["turns"]]
+        resets = [t for t in turns if t["intervention"] == "full-reset"]
+        # A whodunit turn that is neither a skip nor a reset committed one step.
+        moves = [t for t in turns if t["action"]["kind"] not in ("skip", "harvest")]
+        fired = [t for t in turns if t["trigger"]]
+        assert len(results["extract_features"]) == len(turns)
+        assert len(results["step"]) == len(moves) - len(resets)
+        assert len(results["full_reset"]) == len(resets)
+        assert all(type(r) is bool for r in results["evaluate_trigger"])
+        assert sum(results["evaluate_trigger"]) == len(fired) > 0
+        if name == "commons-round-reset":
+            assert len(turns) == 240
+            assert results["step"] == results["full_reset"] == []
+        else:
+            assert resets and results["step"]
+
+
 class TestCommonsLog:
     """Commons trials log one harvester TurnRecord per round."""
 
@@ -1010,10 +1065,29 @@ class TestCli:
         whodunit = SplitManifest.from_json_obj(json.loads(whodunit_path.read_text()))
         assert [len(whodunit.split(n)) for n in ("train", "validation", "test")] == [3, 90, 180]
 
-    def test_commons_sizes_come_from_sizes(self, tmp_path):
+    def test_commons_sizes_come_from_sizes(self, tmp_path, capsys):
         manifest = gen_dataset("commons", sizes=(5, 3, None), seed=4)
         assert [len(manifest.split(n)) for n in ("train", "validation", "test")] == [5, 3, 20]
         out = tmp_path / "commons.json"
-        with pytest.raises(ValueError, match="commons test size 4: the test list is fixed"):
-            cli_main(["gen-dataset", "--env", "commons", "--test", "4", "--out", str(out)])
+        assert cli_main(["gen-dataset", "--env", "commons", "--test", "4", "--out", str(out)]) == 2
+        assert "commons test size 4: the test list is fixed" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command, key", [("run", "n_agents"), ("gen-dataset", "test size")])
+    def test_refusal_prints_one_line(self, command, key, tmp_path, capsys):
+        manifest_path = tmp_path / "manifest.json"
+        sizes = ["--train", "0", "--validation", "0", "--test", "2"]
+        assert cli_main(["gen-dataset", *sizes, "--out", str(manifest_path)]) == 0
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"variant": "symmetric", "n_agents": 0}))
+        capsys.readouterr()
+        out = tmp_path / "out"
+        argv = {
+            "run": ["run", "--config", str(config_path), "--manifest", str(manifest_path)],
+            "gen-dataset": ["gen-dataset", "--env", "commons", "--test", "4"],
+        }[command]
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("roguewatch: error: ") and err.count("\n") == 1
+        assert key in err and "Traceback" not in err
         assert not out.exists()
