@@ -1,10 +1,11 @@
 """Agent decision contract, deterministic scripted oracles, and a synthetic
 rogue wrapper with controllable corruption.
 
-Scripted agents re-derive their view of the game from the rendered channel
-on every turn instead of carrying incremental state. That makes them
+Scripted agents re-derive their view of the game from the channel's
+events on every turn instead of carrying incremental state. That makes them
 trivially consistent after channel rollbacks and makes resampling a
-deterministic no-op, at the cost of re-parsing a few dozen lines per turn.
+deterministic no-op. An observation built from text alone (a prompt, a
+replayed transcript) parses its lines once into the same events.
 
 The rogue wrapper is a test instrument: it receives the ground-truth
 GameSpec so its corruption can be made failure-forcing, which real agents
@@ -37,7 +38,11 @@ _ONE_HOT_10 = (1.0,) + (0.0,) * 9
 @dataclass(frozen=True)
 class AgentObservation:
     """Everything an agent may condition on: its private knowledge, the
-    rendered channel, and the public game parameters."""
+    rendered channel and its events, and the public game parameters.
+
+    ``events`` holds one (kind, fields) pair per channel message; the fields
+    dicts are the channel's own, so agents must not mutate them. Built
+    without ``events``, an observation derives them from ``channel_view``."""
 
     knowledge: KnowledgeSet
     channel_view: tuple[str, ...]
@@ -45,6 +50,31 @@ class AgentObservation:
     turn_limit: int
     role: str
     n_suspects: int
+    events: Optional[tuple[tuple[MessageKind, dict], ...]] = None
+
+    def __post_init__(self) -> None:
+        if self.events is None:
+            object.__setattr__(self, "events", _events_from_text(self.channel_view))
+
+
+def _events_from_text(channel_view: Sequence[str]) -> tuple[tuple[MessageKind, dict], ...]:
+    """The events of rendered channel lines, as the channel itself records
+    them: each parsed line's kind and fields without the sender's name, and
+    a yes/no respond with the property of the request line before it."""
+    events = []
+    request: Optional[dict] = None
+    for line in channel_view:
+        fields = parse_rendered(line)
+        if fields is None:
+            continue
+        kind = fields.pop("kind")
+        fields.pop("name", None)
+        if kind is MessageKind.REQUEST_SPECIFIC:
+            request = fields
+        elif kind is MessageKind.RESPOND and request is not None:
+            fields["property"] = request["property"]
+        events.append((kind, fields))
+    return tuple(events)
 
 
 @dataclass
@@ -88,24 +118,6 @@ def distribution_with_entropy(target: float, size: int = 10) -> tuple[float, ...
     return (p,) + (rest,) * (size - 1)
 
 
-def _paired_responses(channel_view: Sequence[str]) -> list[dict]:
-    """Parse the channel, pairing each yes/no respond with the request it
-    answers so downstream updates see (target, property, value, truth)."""
-    events: list[dict] = []
-    last_request: Optional[dict] = None
-    for line in channel_view:
-        parsed = parse_rendered(line)
-        if parsed is None:
-            continue
-        kind = parsed["kind"]
-        if kind is MessageKind.REQUEST_SPECIFIC:
-            last_request = parsed
-        elif kind is MessageKind.RESPOND and last_request is not None:
-            parsed = {**parsed, "property": last_request["property"]}
-        events.append(parsed)
-    return events
-
-
 class ScriptedAccuser:
     """Elimination accuser: keeps a candidate set, asks about the lowest-id
     candidate's next unconfirmed attribute using the believed culprit value,
@@ -130,12 +142,11 @@ class ScriptedAccuser:
 
     def survey(self, obs: AgentObservation) -> tuple[set[int], dict[int, set[str]]]:
         """Candidates and per-candidate confirmed attributes, derived from
-        the rendered channel under the current beliefs."""
+        the channel's events under the current beliefs."""
         believed = self._believed(obs.knowledge)
         candidates = set(range(1, obs.n_suspects + 1))
         confirmed: dict[int, set[str]] = {i: set() for i in candidates}
-        for event in _paired_responses(obs.channel_view):
-            kind = event["kind"]
+        for kind, event in obs.events:
             if kind is MessageKind.RESPOND and "property" in event:
                 target, prop = event["target"], event["property"]
                 asked_value = event["value"]
@@ -202,10 +213,10 @@ class ScriptedIntel:
 
     def decide(self, obs: AgentObservation) -> AgentDecision:
         knowledge = obs.knowledge
-        events = _paired_responses(obs.channel_view)
-        pending = events[-1] if events else None
+        events = obs.events
+        pending_kind, pending = events[-1] if events else (None, None)
 
-        if pending and pending["kind"] is MessageKind.REQUEST_SPECIFIC:
+        if pending_kind is MessageKind.REQUEST_SPECIFIC:
             prop, value = pending["property"], pending["value"]
             holders = knowledge.suspects_with((prop, value))
             if self.broad_for_specific:
@@ -218,15 +229,11 @@ class ScriptedIntel:
 
         # Broad request (or nothing pending): pick the most even split.
         revealed = {
-            e["property"]: e["value"]
-            for e in events
-            if e["kind"] is MessageKind.REQUEST_SPECIFIC
+            e["property"]: e["value"] for kind, e in events if kind is MessageKind.REQUEST_SPECIFIC
         }
         consistent = _consistent(knowledge, revealed)
         broadcast_pairs = {
-            (e["property"], e["value"])
-            for e in events
-            if e["kind"] is MessageKind.RESPOND_BROAD
+            (e["property"], e["value"]) for kind, e in events if kind is MessageKind.RESPOND_BROAD
         }
         values: dict[str, set[str]] = {}
         for suspect in knowledge.suspect_table:
@@ -266,11 +273,7 @@ class ScriptedSymmetricPlayer:
         self.belief_overrides.clear()
 
     def decide(self, obs: AgentObservation) -> AgentDecision:
-        public: dict[str, str] = {}
-        for line in obs.channel_view:
-            parsed = parse_rendered(line)
-            if parsed and parsed["kind"] is MessageKind.SHARE:
-                public[parsed["property"]] = parsed["value"]
+        public = {e["property"]: e["value"] for kind, e in obs.events if kind is MessageKind.SHARE}
         consistent = _consistent(obs.knowledge, public)
         if len(consistent) == 1:
             action = Action(MessageKind.ACCUSE, target=min(consistent))
@@ -282,13 +285,9 @@ class ScriptedSymmetricPlayer:
                 continue
             # Sharing the fact shrinks the set unless every member has it.
             if not consistent.issubset(obs.knowledge.suspects_with((prop, value))):
-                action = Action(
-                    MessageKind.SHARE, fact_index=index, fact=(prop, value)
-                )
+                action = Action(MessageKind.SHARE, fact_index=index, fact=(prop, value))
                 return AgentDecision(action=action, positions=(_ONE_HOT_10,))
-        return AgentDecision(
-            action=Action(MessageKind.SKIP), positions=(_ONE_HOT_10,)
-        )
+        return AgentDecision(action=Action(MessageKind.SKIP), positions=(_ONE_HOT_10,))
 
 
 def _consistent(knowledge: KnowledgeSet, facts: dict[str, str]) -> set[int]:
@@ -377,18 +376,8 @@ class RogueAgent:
         self.poisoned = False
         self.last_action = None
 
-    def _lowest_non_culprit(self) -> int:
-        return min(
-            s.suspect_id for s in self.spec.suspects
-            if s.suspect_id != self.spec.culprit_id
-        )
-
-    def _random_non_culprit(self) -> int:
-        ids = [
-            s.suspect_id for s in self.spec.suspects
-            if s.suspect_id != self.spec.culprit_id
-        ]
-        return self.rng.choice(ids)
+    def _non_culprits(self) -> list[int]:
+        return [s.suspect_id for s in self.spec.suspects if s.suspect_id != self.spec.culprit_id]
 
     def _flip_belief(self, obs: AgentObservation) -> None:
         """Flip the first not-yet-flipped culprit fact; a no-op for a base
@@ -413,8 +402,7 @@ class RogueAgent:
         corrupted = self.rng.random() < self.profile.epsilon
         behavior = None
         if corrupted:
-            names = [name for name, _ in self.profile.behaviors]
-            weights = [w for _, w in self.profile.behaviors]
+            names, weights = zip(*self.profile.behaviors)
             behavior = self.rng.choices(names, weights=weights)[0]
 
         if behavior == BEHAVIOR_HALLUCINATE:
@@ -423,7 +411,7 @@ class RogueAgent:
             action = self.base.decide(obs).action
         elif behavior == BEHAVIOR_WRONG_ACCUSATION:
             self.poisoned = True
-            action = Action(MessageKind.ACCUSE, target=self._random_non_culprit())
+            action = Action(MessageKind.ACCUSE, target=self.rng.choice(self._non_culprits()))
         elif behavior == BEHAVIOR_REPEAT and self.last_action is not None:
             action = self.last_action
         elif behavior == BEHAVIOR_DROP_FACT:
@@ -432,7 +420,7 @@ class RogueAgent:
             action = self.base.decide(obs).action
 
         if self.poisoned and action.prime is MessageKind.ACCUSE:
-            action = Action(MessageKind.ACCUSE, target=self._lowest_non_culprit())
+            action = Action(MessageKind.ACCUSE, target=min(self._non_culprits()))
 
         self.last_action = action
         return AgentDecision(action=action, positions=self._band_positions(corrupted))

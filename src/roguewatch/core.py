@@ -334,6 +334,10 @@ class CommunicationChannel:
     def rendered(self) -> list[str]:
         return [m.text for m in self._messages]
 
+    def events(self) -> tuple[tuple[MessageKind, dict], ...]:
+        """Each message's kind and its own fields dict, which callers must not mutate."""
+        return tuple((m.kind, m.fields) for m in self._messages)
+
 
 @dataclass
 class TurnRecord:

@@ -127,12 +127,8 @@ class SplitManifest:
                                  "regenerate it with roguewatch gen-dataset")
             schema = AttributeSchema.of(tuple((name, tuple(vs)) for name, vs in obj["schema"]))
             decode = lambda spec: GameSpec.from_json_obj(spec, schema)
-        return cls(
-            env=obj["env"],
-            train=[decode(x) for x in obj["train"]],
-            validation=[decode(x) for x in obj["validation"]],
-            test=[decode(x) for x in obj["test"]],
-        )
+        splits = ([decode(x) for x in obj[name]] for name in ("train", "validation", "test"))
+        return cls(obj["env"], *splits)
 
 
 def _spec_key(spec: GameSpec) -> tuple:
@@ -245,6 +241,12 @@ def _own_check(key: str, build: Callable[[], object]) -> None:
         raise ValueError(f"{key}: {exc}") from None
 
 
+def _at_least_one(key: str, value: object) -> None:
+    if type(value) is not int or value < 1:
+        defect = "below 1" if type(value) is int else "not an integer"
+        raise ValueError(f"{key}: {value!r} is {defect}")
+
+
 def check_config(config: ExperimentConfig) -> None:
     """Refuse a config that cannot run as written, with a ValueError naming
     the key. It reads the config only, so ``run_experiment`` calls it before
@@ -252,12 +254,14 @@ def check_config(config: ExperimentConfig) -> None:
     _one_of("env", config.env, ENV_INTERVENTIONS)
     _own_check("variant", lambda: Variant(config.variant))
     _one_of("intervention.kind", config.intervention.kind.value, ENV_INTERVENTIONS[config.env])
+    for key in ("repetitions", "parallelism", "commons_m"):
+        _at_least_one(key, getattr(config, key))
     commons = config.env == "commons"
     roles = ("harvester",) if commons else VARIANT_ROLES[Variant(config.variant).value]
     if not commons and Variant(config.variant) is Variant.SYMMETRIC:
         attributes = len(AttributeSchema.for_variant(Variant.SYMMETRIC).names)
-        if config.n_agents < 1:
-            raise ValueError(f"n_agents: {config.n_agents} is below 1")
+        _at_least_one("n_agents", config.n_agents)
+        _at_least_one("facts_per_agent", config.facts_per_agent)
         if config.n_agents * config.facts_per_agent > attributes:
             raise ValueError(
                 f"n_agents x facts_per_agent: {config.n_agents} x {config.facts_per_agent} "
@@ -283,6 +287,8 @@ def check_config(config: ExperimentConfig) -> None:
         _own_check("monitor.p", lambda: RandomMonitor(config.monitor["p"], seed=0))
     for role in config.monitor.get("paths", {}):
         _one_of("monitor.paths", role, roles)
+    if not config.commons_policies:
+        raise ValueError("commons_policies: no harvester")
     for name in config.commons_policies:
         _one_of("commons_policies", name, COMMONS_POLICIES)
 
@@ -356,6 +362,7 @@ class WhodunitEnv:
             turn_limit=state.spec.turn_limit,
             role=state.role_of(agent),
             n_suspects=len(state.spec.suspects),
+            events=state.channel.events(),
         )
 
     def apply(self, decision: Optional[AgentDecision], reset: bool) -> dict:
@@ -418,6 +425,7 @@ class CommonsEnv:
             turn_limit=self.config.m,
             role="harvester",
             n_suspects=0,
+            events=(),
         )
 
     def apply(self, decision: Optional[AgentDecision], reset: bool) -> dict:
@@ -628,10 +636,8 @@ def run_experiment(
                 if turn.trigger_fired:
                     histogram[turn.turn_index] = histogram.get(turn.turn_index, 0) + 1
 
-    metric_names = list(per_rep[0]) if per_rep else []
-    mean = {}
-    stderr = {}
-    for name in metric_names:
+    mean, stderr = {}, {}
+    for name in per_rep[0]:  # check_config makes repetitions at least 1
         mean[name], stderr[name] = _mean_stderr([rep[name] for rep in per_rep])
     from . import __version__
 

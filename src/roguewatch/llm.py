@@ -100,9 +100,20 @@ class LlmClient:
         raise ApiError(f"completion failed after retries: {last_error}")
 
 
+def _shaped(value: object, kind: type, what: str):
+    if not isinstance(value, kind):
+        raise ValueError(f"completion {what} is a {type(value).__name__}, not a {kind.__name__}")
+    return value
+
+
 def _parse_completion(raw: dict) -> tuple[str, TokenLogprobs, list[str]]:
-    choice = raw["choices"][0]
-    text = choice["message"]["content"]
+    """The reply's text and logprobs. A reply of the wrong shape raises a
+    ValueError naming its defect, so the client retries it."""
+    choices = raw["choices"]
+    if not isinstance(choices, list) or not choices:
+        raise ValueError("completion has no first choice")
+    choice = _shaped(choices[0], dict, "choice")
+    text = _shaped(_shaped(choice["message"], dict, "message")["content"], str, "content")
     tokens: list[str] = []
     per_token: TokenLogprobs = []
     content = (choice.get("logprobs") or {}).get("content") or []

@@ -2,10 +2,12 @@
 each role may send, one validate rule per kind, knowledge distribution,
 termination, and the game metrics.
 
-The rendered messages are a wire format: scripted agents parse them back
-rather than peeking at engine internals. One template table, ``TEMPLATES``,
-drives both rendering and parsing, so the exact strings in it are
-load-bearing and covered by tests.
+The rendered messages are a wire format. Each message also keeps the
+fields it was rendered from, and the channel hands those to agents as its
+events, so an event carries exactly what its line says. ``parse_rendered``
+serves the interfaces that have only text (prompts, replayed transcripts).
+One template table, ``TEMPLATES``, drives both rendering and parsing, so
+the exact strings in it are load-bearing and covered by tests.
 """
 
 from __future__ import annotations
@@ -64,15 +66,6 @@ def render(kind: MessageKind, **fields: object) -> str:
     return TEMPLATES[kind].format_map({key: FIELDS[key][1](v) for key, v in fields.items()})
 
 
-# Distinct lines the parse cache keeps. Every turn re-parses the game's
-# whole channel, so a game needs only its few dozen lines cached; request
-# lines also recur across games, while broad answers mostly belong to one
-# game. On the 480 asymmetric games of the CLI walkthrough (17,525 parses
-# of 1,723 distinct lines) this size misses 1,756 times, against 1,723 for
-# an unbounded cache, and costs under a megabyte of memory.
-PARSE_CACHE_SIZE = 1024
-
-
 def _parser(template: str) -> tuple:
     """A template's whole-line match and the key and reader of each field."""
     parts = re.split(r"\{(\w+)\}", template)  # literal, key, literal, ..., literal
@@ -85,14 +78,11 @@ def _parser(template: str) -> tuple:
 _PARSERS = tuple((kind, *_parser(template)) for kind, template in TEMPLATES.items())
 
 
-@functools.lru_cache(maxsize=PARSE_CACHE_SIZE)
 def parse_rendered(text: str) -> Optional[dict]:
     """Parse one rendered channel line back into its kind and fields: the
     first template in ``TEMPLATES`` the whole line fits.
 
-    Returns None for free-form lines (discussion, system notices). Results
-    are memoized per line, so the same dict is handed to every caller of
-    the same line: callers must treat it as read-only.
+    Returns None for free-form lines (discussion, system notices).
     """
     for kind, match, readers in _PARSERS:
         m = match(text)

@@ -37,7 +37,6 @@ from roguewatch.uncertainty import (
     kurtosis,
     varentropy,
 )
-from roguewatch.whodunit import PARSE_CACHE_SIZE, parse_rendered
 
 
 def reference_distribution_with_entropy(target: float, size: int = 10) -> tuple[float, ...]:
@@ -149,14 +148,6 @@ def test_extract_features_equals_separate_statistics():
         )
         assert fv.turn_index == turn_index
     assert extract_features((), 1) is None
-
-
-def test_parse_cache_is_bounded():
-    assert parse_rendered.cache_info().maxsize == PARSE_CACHE_SIZE > 0
-    for target in range(PARSE_CACHE_SIZE + 50):
-        line = f"The winner is {target}."
-        assert parse_rendered(line) == parse_rendered.__wrapped__(line)
-    assert parse_rendered.cache_info().currsize <= PARSE_CACHE_SIZE
 
 
 def test_rogue_symmetric_same_bytes_at_parallelism_1_and_2(tmp_path):

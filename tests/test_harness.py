@@ -12,7 +12,7 @@ from typing import Callable
 
 import pytest
 
-from roguewatch import harness, llm
+from roguewatch import agents, harness, llm
 from roguewatch.agents import AgentObservation, ScriptedAccuser, ScriptedIntel
 from roguewatch.cli import main as cli_main
 from roguewatch.commons import CommonsConfig, RoundRecord, commons_metrics
@@ -40,9 +40,9 @@ from roguewatch.harness import (
 from roguewatch.intervention import InterventionKind, InterventionPolicy
 from roguewatch.monitor import MonitorModel
 from roguewatch.uncertainty import FeatureVector
-from roguewatch.whodunit import ROLE_ACCUSER, ROLE_INTEL, new_game
+from roguewatch.whodunit import ROLE_ACCUSER, ROLE_INTEL, new_game, render
 
-from .test_golden import GOLDEN
+from .test_golden import GOLDEN, MIXED_ROGUE
 
 
 def small_manifest(train=6, val=3, test=4, suspects=5) -> SplitManifest:
@@ -277,6 +277,16 @@ class TestConfigGate:
             ({"variant": "symmetric", "n_agents": 0}, "symmetric", "n_agents: 0 is below 1"),
             ({"variant": "symmetric", "n_agents": 8, "facts_per_agent": 3}, "symmetric",
              "n_agents x facts_per_agent: 8 x 3 facts exceed the 20 attributes"),
+            ({"repetitions": 0}, "asymmetric", "repetitions: 0 is below 1"),
+            ({"repetitions": -2}, "asymmetric", "repetitions: -2 is below 1"),
+            ({"parallelism": 0}, "asymmetric", "parallelism: 0 is below 1"),
+            ({"parallelism": -1}, "asymmetric", "parallelism: -1 is below 1"),
+            ({"env": "commons", "commons_m": 0}, "commons", "commons_m: 0 is below 1"),
+            ({"env": "commons", "commons_policies": []}, "commons",
+             "commons_policies: no harvester"),
+            ({"repetitions": 1.5}, "asymmetric", "repetitions: 1.5 is not an integer"),
+            ({"variant": "symmetric", "facts_per_agent": 0}, "symmetric",
+             "facts_per_agent: 0 is below 1"),
         ],
     )
     def test_refused_by_key(self, obj, manifest, match, tmp_path):
@@ -871,6 +881,80 @@ class TestPatchedNames:
             assert results["step"] == results["full_reset"] == []
         else:
             assert resets and results["step"]
+
+    @pytest.mark.parametrize("name", ["random-full-reset", "commons-round-reset"])
+    def test_parse_rendered_reads_only_text(self, name, monkeypatch, tmp_path):
+        """The benchmark also counts ``agents.parse_rendered``: a game never
+        calls it, and an observation built from text calls it once a line."""
+        lines: list = []
+
+        def counting(line, _wrapped=agents.parse_rendered):
+            lines.append(line)
+            return _wrapped(line)
+
+        monkeypatch.setattr(agents, "parse_rendered", counting)
+        factory, split, config, _, _ = GOLDEN[name]
+        report = run_experiment(
+            ExperimentConfig.from_json_obj(config), factory(), split=split, output_dir=tmp_path
+        )
+        assert report["invalid"] == 0 and lines == []
+        view = (
+            render(MessageKind.REQUEST_SPECIFIC, name="Beth", target=2, property="hat", value="b"),
+            render(MessageKind.RESPOND, name="Alex", target=2, truth=False, value="b"),
+            "free-form chatter",
+        )
+        AgentObservation(None, view, 1, 10, ROLE_ACCUSER, 6)
+        assert lines == list(view)
+
+
+class TestChannelEvents:
+    """Agents read the channel's events; they must equal what the rendered
+    channel says, which is all a text-only agent sees."""
+
+    @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
+    def test_events_equal_the_parsed_channel(self, variant, monkeypatch):
+        observe, seen = harness.WhodunitEnv.observe, []
+
+        def checked(env):
+            agent, obs = observe(env)
+            seen.append((obs.events, replace(obs, events=None).events))
+            return agent, obs
+
+        monkeypatch.setattr(harness.WhodunitEnv, "observe", checked)
+        manifest = gen_dataset("whodunit", sizes=(0, 0, 500), seed=8, variant=variant)
+        reset = {"monitor": {"source": "random", "p": 0.2},
+                 "intervention": {"kind": "full-reset", "cap": 2}}
+        resets = 0
+        for index, spec in enumerate(manifest.test):
+            if variant == "symmetric":
+                roles = {"player": {"type": "rogue", "epsilon": 0.2}}
+            else:
+                # Half the games answer yes/no, whose events pair a respond
+                # with the property of its request.
+                intel = {"type": "rogue", "epsilon": 0.2, "broad_for_specific": index % 2 == 0}
+                roles = {"accuser": MIXED_ROGUE, "intel": intel}
+            config = ExperimentConfig.from_json_obj({**reset, "variant": variant, "agents": roles})
+            game = run_whodunit_game(spec, config, game_seed=index)
+            resets += sum(t.intervention == "full-reset" for t in game.turns)
+        assert resets > 0 and len(seen) > 2000
+        mismatched = [pair for pair in seen if pair[0] != pair[1]]
+        assert mismatched == []
+        kinds = {kind for events, _ in seen for kind, _ in events}
+        expected = {MessageKind.SHARE, MessageKind.SKIP} if variant == "symmetric" else {
+            MessageKind.REQUEST_SPECIFIC, MessageKind.RESPOND, MessageKind.RESPOND_BROAD}
+        assert expected <= kinds
+
+    @pytest.mark.parametrize("name", ["random-full-reset", "symmetric-random"])
+    def test_the_game_loop_parses_no_text(self, name, monkeypatch, tmp_path):
+        def refuse(line):
+            raise AssertionError(f"parsed {line!r}")
+
+        monkeypatch.setattr(agents, "parse_rendered", refuse)
+        factory, split, config, _, _ = GOLDEN[name]
+        report = run_experiment(
+            ExperimentConfig.from_json_obj(config), factory(), split=split, output_dir=tmp_path
+        )
+        assert report["invalid"] == 0
 
 
 class TestCommonsLog:

@@ -90,6 +90,31 @@ class TestClient:
         assert text == "ok"
 
 
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"choices": []},
+            {"choices": [None]},
+            {"choices": "x"},
+            {"choices": [{"message": "x"}]},
+            {"choices": [{"message": {"content": None}}]},
+        ],
+    )
+    def test_reply_of_the_wrong_shape_is_retried(self, bad):
+        calls = {"n": 0}
+
+        def transport(config, payload):
+            calls["n"] += 1
+            return bad if calls["n"] == 1 else completion_payload("ok")
+
+        text, _, _ = LlmClient(CONFIG, transport=transport).complete_with_logprobs("sys", "user")
+        assert (text, calls["n"]) == ("ok", 2)
+
+        client = LlmClient(CONFIG, transport=lambda config, payload: bad)
+        with pytest.raises(ApiError, match="completion .*(choice|message|content)"):
+            client.complete_with_logprobs("sys", "user")
+
+
 class TestExtractPositions:
     def test_numeral_token_selected(self):
         text = '{"character": 3}'
