@@ -3,8 +3,18 @@ turns model generations into game actions and monitored positions.
 
 The wire protocol is the common chat-completions HTTP+JSON shape with the
 ``logprobs``/``top_logprobs`` options. The transport is injectable so tests
-(and offline use) can fake the server; the default transport is stdlib
-urllib. API keys are only ever read from a named environment variable.
+(and offline use) can fake the server. The default transport sends each
+request on its own ``http.client`` connection, routed through the proxy that
+``http_proxy``/``https_proxy``/``no_proxy`` name, as urllib would, and
+leaves every retry to the client. API keys are only ever read from a named
+environment variable.
+
+A reply is read for its text and for the probability vectors at its
+monitored positions (the numeral tokens). Every token's string is read to
+align tokens with the text, but a token's top-k list is read only where a
+numeral falls. A reply of the wrong shape anywhere the client reads raises
+a ValueError naming the defect, so the client retries it like a transport
+fault.
 """
 
 from __future__ import annotations
@@ -25,7 +35,9 @@ from .whodunit import Action
 
 logger = logging.getLogger("roguewatch.llm")
 
-TokenLogprobs = list[list[tuple[str, float]]]
+# Per token, its top-k alternatives as the wire sends them: a list of
+# {"token": str, "logprob": float} objects.
+TokenLogprobs = Sequence[Sequence[dict]]
 
 _WHODUNIT_NUMERAL = re.compile(r"\d+")
 _COMMONS_NUMERAL = re.compile(r"\d+(?:\.\d+)?")
@@ -46,23 +58,81 @@ class LlmConfig:
         return cls(**obj)
 
 
-def _http_transport(config: LlmConfig, payload: dict) -> dict:
-    import urllib.request  # with http.client, email and ssl: loaded on the first request
+@functools.lru_cache(maxsize=8)
+def _proxy(scheme: str, netloc: str) -> Optional[str]:
+    """The proxy an endpoint is reached through, or None to connect
+    directly. The proxy variables are read at the first request to an
+    endpoint, as urllib's shared opener read them at its first request,
+    and not on every request: reading them walks the whole environment."""
+    import urllib.request
 
-    headers = {"Content-Type": "application/json"}
+    proxy = urllib.request.getproxies().get(scheme)
+    if not proxy or urllib.request.proxy_bypass(netloc):
+        return None
+    return proxy
+
+
+def _connect(config: LlmConfig) -> tuple[object, str, dict]:
+    """A new connection for the endpoint, the request target to send on it
+    and the request's headers. An ``http`` endpoint behind a proxy is
+    requested from the proxy in absolute form; an ``https`` one through a
+    CONNECT tunnel."""
+    # http.client (with email and ssl) and urllib.request load on the first request.
+    import base64
+    import http.client
+    import urllib.parse
+
+    url = urllib.parse.urlsplit(config.endpoint)
+    https = url.scheme == "https"
+    connection_class = http.client.HTTPSConnection if https else http.client.HTTPConnection
+    target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+    headers = {"Content-Type": "application/json", "Connection": "close"}
+    proxy = _proxy(url.scheme, url.netloc)
+    if proxy is None:
+        connection = connection_class(url.hostname, url.port, timeout=config.timeout)
+        return connection, target, headers
+    proxy_url = urllib.parse.urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+    auth = {}
+    if proxy_url.username is not None:
+        credentials = f"{urllib.parse.unquote(proxy_url.username)}:" + urllib.parse.unquote(
+            proxy_url.password or ""
+        )
+        auth["Proxy-Authorization"] = "Basic " + base64.b64encode(credentials.encode()).decode()
+    connection = connection_class(proxy_url.hostname, proxy_url.port, timeout=config.timeout)
+    if https:
+        connection.set_tunnel(url.hostname, url.port, headers=auth)
+        return connection, target, headers
+    return connection, config.endpoint, {**headers, **auth}
+
+
+def _http_transport(config: LlmConfig, payload: dict) -> dict:
+    import http.client
+
+    connection, target, headers = _connect(config)
     api_key = os.environ.get(config.api_key_env, "")
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
-    request = urllib.request.Request(
-        config.endpoint, data=json.dumps(payload).encode(), headers=headers
-    )
-    with urllib.request.urlopen(request, timeout=config.timeout) as response:
-        return json.loads(response.read().decode())
+    # Each request has its own connection, so a failure anywhere in it goes
+    # to the client's counted retry loop and nothing is sent twice here.
+    try:
+        connection.request("POST", target, json.dumps(payload).encode(), headers)
+        response = connection.getresponse()
+        data = response.read()
+    except http.client.HTTPException as exc:
+        raise urllib.error.URLError(exc) from exc
+    finally:
+        connection.close()
+    if response.status >= 400:
+        raise urllib.error.HTTPError(
+            config.endpoint, response.status, response.reason, response.headers, None
+        )
+    return json.loads(data)
 
 
 class LlmClient:
-    """Thin client: render payload, post, retry transport failures, and pull
-    out the generation plus aligned per-token top-k log probabilities."""
+    """Thin client: render payload, post, retry transport failures and
+    replies of the wrong shape, and pull out the generation plus the
+    probability vectors at its monitored positions."""
 
     def __init__(
         self,
@@ -77,8 +147,13 @@ class LlmClient:
         system_prompt: str,
         user_prompt: str,
         temperature: Optional[float] = None,
-    ) -> tuple[str, TokenLogprobs, list[str]]:
-        """Returns (generation, per-token top-k lists, token strings)."""
+    ) -> tuple[str, list[tuple[float, ...]]]:
+        """Returns (generation, probability vectors at its numeral tokens).
+
+        The positions are the whodunit numerals (the only game an LLM agent
+        plays), read for every attempt, including a generation the agent
+        then rejects as malformed; a top-k list of the wrong shape there is
+        retried here like a transport failure."""
         payload = {
             "model": self.config.model,
             "messages": [
@@ -92,8 +167,8 @@ class LlmClient:
         last_error: Optional[Exception] = None
         for attempt in range(self.config.retry_budget + 1):
             try:
-                raw = self._transport(self.config, payload)
-                return _parse_completion(raw)
+                text, per_token, tokens = _read_completion(self._transport(self.config, payload))
+                return text, extract_positions(text, per_token, tokens)
             except (urllib.error.URLError, OSError, KeyError, ValueError) as exc:
                 last_error = exc
                 logger.warning("completion attempt %d failed: %s", attempt + 1, exc)
@@ -106,22 +181,24 @@ def _shaped(value: object, kind: type, what: str):
     return value
 
 
-def _parse_completion(raw: dict) -> tuple[str, TokenLogprobs, list[str]]:
-    """The reply's text and logprobs. A reply of the wrong shape raises a
-    ValueError naming its defect, so the client retries it."""
-    choices = raw["choices"]
+def _read_completion(raw: dict) -> tuple[str, TokenLogprobs, list[str]]:
+    """The reply's text, each token's top-k list as sent and each token's
+    string. A reply of the wrong shape raises a ValueError naming its
+    defect, so the client retries it."""
+    choices = _shaped(raw, dict, "reply")["choices"]
     if not isinstance(choices, list) or not choices:
         raise ValueError("completion has no first choice")
     choice = _shaped(choices[0], dict, "choice")
     text = _shaped(_shaped(choice["message"], dict, "message")["content"], str, "content")
+    logprobs = _shaped(choice.get("logprobs") or {}, dict, "logprobs")
+    content = _shaped(logprobs.get("content") or [], list, "logprobs content")
     tokens: list[str] = []
-    per_token: TokenLogprobs = []
-    content = (choice.get("logprobs") or {}).get("content") or []
-    for entry in content:
+    per_token: list[Sequence[dict]] = []
+    for index, entry in enumerate(content):
+        if not (isinstance(entry, dict) and isinstance(entry.get("token"), str)):
+            raise ValueError(f"completion content token {index} is not a token object")
         tokens.append(entry["token"])
-        per_token.append(
-            [(alt["token"], alt["logprob"]) for alt in entry.get("top_logprobs", [])]
-        )
+        per_token.append(entry.get("top_logprobs", ()))
     return text, per_token, tokens
 
 
@@ -138,38 +215,41 @@ def extract_positions(
     games, numerals denoting resource amounts, decimals included. Top-k
     masses are renormalized to sum to one. Multi-token numerals contribute
     one vector per constituent token. An empty result is a no-signal turn.
+
+    ``per_token`` holds each token's top-k list in the wire shape, and only
+    the lists at monitored tokens are read; one of the wrong shape raises a
+    ValueError naming the token.
     """
     pattern = _COMMONS_NUMERAL if env_kind == "commons" else _WHODUNIT_NUMERAL
     spans = [m.span() for m in pattern.finditer(generation)]
-    if not spans or not tokens:
-        return []
-
-    offsets: list[tuple[int, int]] = []
+    vectors: list[tuple[float, ...]] = []
+    if not spans:
+        return vectors
+    # Tokens and spans both run left to right, so one pass pairs them: each
+    # token is placed after the previous one and checked against the first
+    # span that does not end before it.
+    span = 0
     cursor = 0
-    for token in tokens:
+    for index, token in enumerate(tokens):
         start = generation.find(token, cursor) if token else -1
         if start < 0:
             start = cursor
-        end = start + len(token)
-        offsets.append((start, end))
-        cursor = end
-
-    picked: list[int] = []
-    for span_start, span_end in spans:
-        for index, (tok_start, tok_end) in enumerate(offsets):
-            if tok_start < span_end and span_start < tok_end and index not in picked:
-                picked.append(index)
-
-    vectors: list[tuple[float, ...]] = []
-    for index in picked:
-        alternatives = per_token[index]
-        if not alternatives:
+        cursor = start + len(token)
+        while spans[span][1] <= start:
+            span += 1
+            if span == len(spans):
+                return vectors
+        if spans[span][0] >= cursor:
             continue
-        masses = [math.exp(lp) for _, lp in alternatives]
+        try:
+            masses = [math.exp(alt["logprob"]) for alt in per_token[index]]
+        except (TypeError, OverflowError) as exc:
+            raise ValueError(
+                f"completion content token {index} top_logprobs of the wrong shape: {exc}"
+            ) from exc
         total = sum(masses)
-        if total <= 0.0:
-            continue
-        vectors.append(tuple(m / total for m in masses))
+        if total > 0.0:
+            vectors.append(tuple(m / total for m in masses))
     return vectors
 
 
@@ -180,23 +260,18 @@ def _load_prompt(name: str) -> str:
     return resources.files("roguewatch.prompts").joinpath(name).read_text()
 
 
+_JSON_DECODER = json.JSONDecoder()
+
+
 def _extract_json_block(text: str) -> dict:
+    """The JSON object that starts at the generation's first brace."""
     start = text.find("{")
     if start < 0:
         raise MalformedGenerationError("no JSON object in generation")
-    depth = 0
-    for index in range(start, len(text)):
-        if text[index] == "{":
-            depth += 1
-        elif text[index] == "}":
-            depth -= 1
-            if depth == 0:
-                candidate = text[start : index + 1]
-                try:
-                    return json.loads(candidate)
-                except json.JSONDecodeError as exc:
-                    raise MalformedGenerationError(f"unparseable JSON: {exc}") from exc
-    raise MalformedGenerationError("unbalanced JSON braces in generation")
+    try:
+        return _JSON_DECODER.raw_decode(text, start)[0]
+    except json.JSONDecodeError as exc:
+        raise MalformedGenerationError(f"unparseable JSON: {exc}") from exc
 
 
 def parse_accuser_output(text: str) -> Action:
@@ -304,59 +379,62 @@ class LlmAgent:
         self.role = role
         self.agent_id = agent_id
         self.partner = partner
+        # The last knowledge set seen and the system prompt rendered for it.
+        self._system: Optional[tuple[object, str]] = None
 
     def reset(self) -> None:
         pass
 
     def _prompts(self, obs) -> tuple[str, str]:
-        attributes = ", ".join(sorted({p for p, _ in _schema_pairs(obs)}))
+        """The system prompt, rendered once per knowledge set, and this
+        turn's user prompt."""
+        if self._system is None or self._system[0] is not obs.knowledge:
+            self._system = (obs.knowledge, self._system_prompt(obs))
+        system = self._system[1]
         channel = "\n".join(obs.channel_view) if obs.channel_view else "(empty)"
+        if self.role in ("accuser", "intel"):
+            return system, _load_prompt("asym_user.txt").format(
+                COMMUNICATION_CHANNEL=channel,
+                TURN_COUNT=obs.turn_index,
+                MAX_TURN_COUNT=obs.turn_limit,
+            )
+        facts = "\n".join(
+            f"{index + 1}. their {prop} is {value}"
+            for index, (prop, value) in enumerate(obs.knowledge.culprit_facts)
+        )
+        return system, _load_prompt("sym_user.txt").format(
+            FACTS=facts,
+            COMM_CHANNEL=channel,
+            TURN_COUNT=obs.turn_index,
+            MAX_TURN_COUNT=obs.turn_limit,
+        )
+
+    def _system_prompt(self, obs) -> str:
+        attributes = ", ".join(sorted({p for p, _ in _schema_pairs(obs)}))
         if self.role == "accuser":
-            system = _load_prompt("asym_accuser_system.txt").format(
+            return _load_prompt("asym_accuser_system.txt").format(
                 NAME=self.agent_id,
                 PARTNER_NAME=self.partner,
                 SUSPECT_NUM=obs.n_suspects,
                 CHARACTER_ATTRIBUTES=attributes,
                 WINNER_DESCRIPTION=describe_winner(obs.knowledge.culprit_facts),
             )
-            user = _load_prompt("asym_user.txt").format(
-                COMMUNICATION_CHANNEL=channel,
-                TURN_COUNT=obs.turn_index,
-                MAX_TURN_COUNT=obs.turn_limit,
-            )
-        elif self.role == "intel":
-            system = _load_prompt("asym_intel_system.txt").format(
+        if self.role == "intel":
+            return _load_prompt("asym_intel_system.txt").format(
                 NAME=self.agent_id,
                 PARTNER_NAME=self.partner,
                 CHARACTER_ATTRIBUTES=attributes,
                 SUSPECT_INFORMATION=describe_suspects(obs.knowledge.suspect_table),
             )
-            user = _load_prompt("asym_user.txt").format(
-                COMMUNICATION_CHANNEL=channel,
-                TURN_COUNT=obs.turn_index,
-                MAX_TURN_COUNT=obs.turn_limit,
-            )
-        else:
-            facts = "\n".join(
-                f"{index + 1}. their {prop} is {value}"
-                for index, (prop, value) in enumerate(obs.knowledge.culprit_facts)
-            )
-            everyone = [self.agent_id]
-            if self.partner:
-                everyone += [name.strip() for name in self.partner.split(",")]
-            system = _load_prompt("sym_system.txt").format(
-                NAME=self.agent_id,
-                AGENT_COUNT=len(everyone),
-                AGENT_NAMES=", ".join(everyone),
-                SUSPECT_INFORMATION=describe_suspects(obs.knowledge.suspect_table),
-            )
-            user = _load_prompt("sym_user.txt").format(
-                FACTS=facts,
-                COMM_CHANNEL=channel,
-                TURN_COUNT=obs.turn_index,
-                MAX_TURN_COUNT=obs.turn_limit,
-            )
-        return system, user
+        everyone = [self.agent_id]
+        if self.partner:
+            everyone += [name.strip() for name in self.partner.split(",")]
+        return _load_prompt("sym_system.txt").format(
+            NAME=self.agent_id,
+            AGENT_COUNT=len(everyone),
+            AGENT_NAMES=", ".join(everyone),
+            SUSPECT_INFORMATION=describe_suspects(obs.knowledge.suspect_table),
+        )
 
     def _parse(self, text: str):
         if self.role == "accuser":
@@ -369,18 +447,17 @@ class LlmAgent:
         from .agents import AgentDecision
 
         system, user = self._prompts(obs)
-        text, per_token, tokens = self.client.complete_with_logprobs(
+        text, positions = self.client.complete_with_logprobs(
             system, user, temperature=temperature
         )
         try:
             action = self._parse(text)
         except MalformedGenerationError:
             logger.info("malformed generation from %s, retrying once", self.agent_id)
-            text, per_token, tokens = self.client.complete_with_logprobs(
+            text, positions = self.client.complete_with_logprobs(
                 system, user + FORMAT_REMINDER, temperature=temperature
             )
             action = self._parse(text)  # second failure propagates
-        positions = extract_positions(text, per_token, tokens, env_kind="whodunit")
         return AgentDecision(action=action, positions=tuple(positions))
 
     def resample(self, obs, temperature: Optional[float] = None):

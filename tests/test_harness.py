@@ -623,8 +623,11 @@ def oracle_transport(specs, calls: list) -> Callable:
     """A transport that answers each accuser or intel prompt as the scripted
     oracle of that role would. The first request of all raises a URLError,
     and each game's first prompt, with an empty channel, gets a reply with
-    no JSON in it unless it carries the format reminder."""
+    no JSON in it unless it carries the format reminder. It renders with the
+    describe functions it was built with, so wrappers installed later see
+    only the agents' calls."""
     lock = threading.Lock()
+    describe_winner, describe_suspects = llm.describe_winner, llm.describe_suspects
 
     def transport(config, payload):
         system, user = (m["content"] for m in payload["messages"])
@@ -639,8 +642,8 @@ def oracle_transport(specs, calls: list) -> Callable:
         accuser = "The Winner is described as:" in system
         spec = next(
             s for s in specs
-            if (llm.describe_winner(s.culprit.assignment) if accuser
-                else llm.describe_suspects(s.suspects)) in system
+            if (describe_winner(s.culprit.assignment) if accuser
+                else describe_suspects(s.suspects)) in system
         )
         role = ROLE_ACCUSER if accuser else ROLE_INTEL
         obs = AgentObservation(
@@ -672,6 +675,19 @@ class TestLlmPath:
         manifest = small_manifest(0, 0, 6)
         calls: list = []
         monkeypatch.setattr(llm, "_http_transport", oracle_transport(manifest.test, calls))
+        rendered: list = []
+
+        def counted(name):
+            describe = getattr(llm, name)
+
+            def wrapper(arg):
+                rendered.append(name)
+                return describe(arg)
+
+            return wrapper
+
+        for name in ("describe_winner", "describe_suspects"):
+            monkeypatch.setattr(llm, name, counted(name))
         llm_spec = {"type": "llm", "config": LLM_CONFIG}
         config = scripted_config(agents={"accuser": llm_spec, "intel": llm_spec}, parallelism=2)
         report = run_experiment(config, manifest, split="test", output_dir=tmp_path / "llm")
@@ -690,6 +706,9 @@ class TestLlmPath:
         turns = sum(len(game["turns"]) for game in games)
         format_retries = len(games)
         assert len(calls) == turns + format_retries + 1
+        # Each game's system prompts are rendered once, though every turn
+        # and retry sends them.
+        assert sorted(rendered) == ["describe_suspects"] * 6 + ["describe_winner"] * 6
 
 
 class TestMonitoredRuns:
