@@ -1,24 +1,25 @@
 """Agent decision contract, deterministic scripted oracles, and a synthetic
 rogue wrapper with controllable corruption.
 
-Scripted agents re-derive their view of the game from the channel's
-events on every turn instead of carrying incremental state. That makes them
-trivially consistent after channel rollbacks and makes resampling a
-deterministic no-op. An observation built from text alone (a prompt, a
-replayed transcript) parses its lines once into the same events.
+Scripted agents are stateless: every turn they derive their view of the
+game from the observation alone, its knowledge and the channel's events.
+That makes them trivially consistent after channel rollbacks and makes
+resampling a deterministic no-op. An observation built from text alone (a
+prompt, a replayed transcript) parses its lines once into the same events.
 
 The rogue wrapper is a test instrument: it receives the ground-truth
 GameSpec so its corruption can be made failure-forcing, which real agents
-obviously cannot do. Its corruption RNG stream deliberately survives
-resets, so a re-run after an intervention draws fresh corruption coins.
+obviously cannot do. It corrupts only the observation its base sees, never
+the base. Its corruption RNG stream deliberately survives resets, so a
+re-run after an intervention draws fresh corruption coins.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import Optional, Sequence
 
 from .core import GameSpec, MessageKind
 from .whodunit import ROLE_ACCUSER, Action, KnowledgeSet, parse_rendered
@@ -124,26 +125,18 @@ class ScriptedAccuser:
     and accuses once a single candidate remains or is fully confirmed.
 
     Yes/no answers eliminate one candidate at a time; broad answers
-    intersect the candidate set with the returned character list.
-    ``belief_overrides`` lets the rogue wrapper corrupt what the agent
-    thinks the culprit looks like.
+    intersect the candidate set with the returned character list. The
+    believed culprit is the observation's ``culprit_facts``, which a rogue
+    wrapper may have corrupted.
     """
 
-    def __init__(self) -> None:
-        self.belief_overrides: dict[str, str] = {}
-
     def reset(self) -> None:
-        self.belief_overrides.clear()
-
-    def _believed(self, knowledge: KnowledgeSet) -> dict[str, str]:
-        believed = dict(knowledge.culprit_facts)
-        believed.update(self.belief_overrides)
-        return believed
+        pass
 
     def survey(self, obs: AgentObservation) -> tuple[set[int], dict[int, set[str]]]:
         """Candidates and per-candidate confirmed attributes, derived from
-        the channel's events under the current beliefs."""
-        believed = self._believed(obs.knowledge)
+        the channel's events under the observation's beliefs."""
+        believed = dict(obs.knowledge.culprit_facts)
         candidates = set(range(1, obs.n_suspects + 1))
         confirmed: dict[int, set[str]] = {i: set() for i in candidates}
         for kind, event in obs.events:
@@ -169,7 +162,7 @@ class ScriptedAccuser:
         return candidates, confirmed
 
     def decide(self, obs: AgentObservation) -> AgentDecision:
-        believed = self._believed(obs.knowledge)
+        believed = dict(obs.knowledge.culprit_facts)
         attribute_order = [prop for prop, _ in obs.knowledge.culprit_facts]
         candidates, confirmed = self.survey(obs)
 
@@ -266,11 +259,8 @@ class ScriptedSymmetricPlayer:
     """Shares the first own fact that shrinks the publicly-consistent
     candidate set; accuses when that set is a singleton; skips otherwise."""
 
-    def __init__(self) -> None:
-        self.belief_overrides: dict[str, str] = {}
-
     def reset(self) -> None:
-        self.belief_overrides.clear()
+        pass
 
     def decide(self, obs: AgentObservation) -> AgentDecision:
         public = {e["property"]: e["value"] for kind, e in obs.events if kind is MessageKind.SHARE}
@@ -280,7 +270,6 @@ class ScriptedSymmetricPlayer:
             return AgentDecision(action=action, positions=(_ONE_HOT_10,))
 
         for index, (prop, value) in enumerate(obs.knowledge.culprit_facts):
-            value = self.belief_overrides.get(prop, value)
             if prop in public:
                 continue
             # Sharing the fact shrinks the set unless every member has it.
@@ -343,55 +332,49 @@ class RogueAgent:
     """Wraps a scripted policy and corrupts it per turn with probability
     epsilon. Corrupted turns carry corrupt-band uncertainty annotations.
 
-    hallucinate-fact flips one believed culprit fact (the outward queries
-    then use the wrong value, exactly the failure mode of an agent that
-    misremembers the target description; the intel holds no such beliefs,
-    so for it only the corrupt-band annotation remains) and marks the agent
-    poisoned; poisoned accusations are redirected to the lowest-id
-    non-culprit so a corrupted game can never succeed by luck.
+    hallucinate-fact flips one of the rogue's own copies of the culprit
+    facts, which its base sees from then on in place of the true ones (the
+    outward queries then use the wrong value, exactly the failure mode of an
+    agent that misremembers the target description; the intel knows no
+    culprit facts, so for it only the corrupt-band annotation remains) and
+    marks the agent poisoned; poisoned accusations are redirected to the
+    lowest-id non-culprit so a corrupted game can never succeed by luck.
     wrong-accusation ends the game immediately on a random non-culprit.
     repeat-query re-issues the previous request. drop-known-fact re-asks
     something already answered.
     """
 
-    def __init__(
-        self,
-        profile: RogueProfile,
-        base_factory: Callable[[], object],
-        spec: GameSpec,
-        seed: int,
-    ) -> None:
+    def __init__(self, profile: RogueProfile, base: object, spec: GameSpec, seed: int) -> None:
         self.profile = profile
+        self.base = base
         self.spec = spec
         self.rng = random.Random(seed)
-        self._base_factory = base_factory
-        self.base = base_factory()
-        self.poisoned = False
-        self.last_action: Optional[Action] = None
+        self.reset()
 
     def reset(self) -> None:
         """Fresh game, same corruption stream (interventions do not reroll
         the past, they give the agent a clean second attempt)."""
-        self.base = self._base_factory()
+        self.flips: dict[str, str] = {}
+        # The knowledge the base sees once a fact is flipped, built once per
+        # flip so that its ``suspects_with`` cache holds across turns.
+        self._flipped: Optional[KnowledgeSet] = None
         self.poisoned = False
-        self.last_action = None
+        self.last_action: Optional[Action] = None
 
     def _non_culprits(self) -> list[int]:
         return [s.suspect_id for s in self.spec.suspects if s.suspect_id != self.spec.culprit_id]
 
     def _flip_belief(self, obs: AgentObservation) -> None:
-        """Flip the first not-yet-flipped culprit fact; a no-op for a base
-        that holds no beliefs about the culprit (the intel)."""
-        overrides = getattr(self.base, "belief_overrides", None)
-        if overrides is None:
-            return
-        for prop, value in obs.knowledge.culprit_facts:
-            if prop in overrides:
-                continue
-            values = self.spec.schema.values_of(prop)
-            believed = overrides.get(prop, value)
-            overrides[prop] = values[(values.index(believed) + 1) % len(values)]
-            return
+        """Flip the first not-yet-flipped culprit fact; nothing flips for
+        the intel, which knows no culprit facts."""
+        facts = obs.knowledge.culprit_facts
+        for prop, value in facts:
+            if prop not in self.flips:
+                values = self.spec.schema.values_of(prop)
+                self.flips[prop] = values[(values.index(value) + 1) % len(values)]
+                believed = tuple((p, self.flips.get(p, v)) for p, v in facts)
+                self._flipped = replace(obs.knowledge, culprit_facts=believed)
+                return
 
     def _band_positions(self, corrupted: bool) -> tuple[tuple[float, ...], ...]:
         band = self.profile.corrupt_band if corrupted else self.profile.clean_band
@@ -408,16 +391,16 @@ class RogueAgent:
         if behavior == BEHAVIOR_HALLUCINATE:
             self._flip_belief(obs)
             self.poisoned = True
-            action = self.base.decide(obs).action
-        elif behavior == BEHAVIOR_WRONG_ACCUSATION:
+        seen = obs if self._flipped is None else replace(obs, knowledge=self._flipped)
+        if behavior == BEHAVIOR_WRONG_ACCUSATION:
             self.poisoned = True
             action = Action(MessageKind.ACCUSE, target=self.rng.choice(self._non_culprits()))
         elif behavior == BEHAVIOR_REPEAT and self.last_action is not None:
             action = self.last_action
         elif behavior == BEHAVIOR_DROP_FACT:
-            action = self._re_ask_known(obs)
+            action = self._re_ask_known(seen)
         else:
-            action = self.base.decide(obs).action
+            action = self.base.decide(seen).action
 
         if self.poisoned and action.prime is MessageKind.ACCUSE:
             action = Action(MessageKind.ACCUSE, target=min(self._non_culprits()))
@@ -432,12 +415,7 @@ class RogueAgent:
         candidates, confirmed = self.base.survey(obs)
         for target in sorted(candidates):
             if confirmed[target]:
-                prop = sorted(confirmed[target])[0]
-                believed = self.base._believed(obs.knowledge)
-                return Action(
-                    MessageKind.REQUEST_SPECIFIC,
-                    target=target,
-                    prop=prop,
-                    value=believed[prop],
-                )
+                prop = min(confirmed[target])
+                value = dict(obs.knowledge.culprit_facts)[prop]
+                return Action(MessageKind.REQUEST_SPECIFIC, target=target, prop=prop, value=value)
         return base_action

@@ -271,8 +271,11 @@ def check_config(config: ExperimentConfig) -> None:
         _one_of("agents", role, () if commons else roles)
         key, backend = f"agents.{role}", spec.get("type", "scripted")
         _one_of(f"{key}.type", backend, BACKEND_KEYS)
+        readable = BACKEND_KEYS[backend]
+        if role != ROLE_INTEL:
+            readable = readable - {"broad_for_specific"}  # only the intel's policy reads it
         for name in spec:
-            _one_of(key, name, BACKEND_KEYS[backend])
+            _one_of(key, name, readable)
         if backend == "rogue":
             _own_check(key, lambda: RogueProfile.from_json_obj({"epsilon": 0.0, **spec}))
         elif backend == "llm":
@@ -306,13 +309,12 @@ def build_whodunit_backends(
         role = state.role_of(agent_id)
         cfg = agent_specs.get(role, {"type": "scripted"})
         kind = cfg.get("type", "scripted")
-        base_factory = _scripted_factory(role, cfg)
         if kind == "scripted":
-            backends[agent_id] = base_factory()
+            backends[agent_id] = _scripted_factory(role, cfg)
         elif kind == "rogue":
             backends[agent_id] = RogueAgent(
                 RogueProfile.from_json_obj({"epsilon": 0.0, **cfg}),
-                base_factory,
+                _scripted_factory(role, cfg),
                 spec,
                 seed=derive_seed(game_seed, "rogue", agent_id),
             )
@@ -329,13 +331,12 @@ def build_whodunit_backends(
     return backends
 
 
-def _scripted_factory(role: str, cfg: dict) -> Callable[[], object]:
+def _scripted_factory(role: str, cfg: dict) -> object:
     if role == ROLE_ACCUSER:
-        return ScriptedAccuser
+        return ScriptedAccuser()
     if role == ROLE_INTEL:
-        broad = cfg.get("broad_for_specific", True)
-        return lambda: ScriptedIntel(broad_for_specific=broad)
-    return ScriptedSymmetricPlayer
+        return ScriptedIntel(broad_for_specific=cfg.get("broad_for_specific", True))
+    return ScriptedSymmetricPlayer()
 
 
 class WhodunitEnv:

@@ -35,8 +35,14 @@ class InterventionPolicy:
     resample_temperature: Optional[float] = None
 
     def __post_init__(self) -> None:
-        if self.cap_per_role < 0:
-            raise ValueError("cap must be non-negative")
+        cap, temperature = self.cap_per_role, self.resample_temperature
+        if type(cap) is not int or cap < 0:
+            defect = "below 0" if type(cap) is int else "not an integer"
+            raise ValueError(f"intervention.cap: {cap!r} is {defect}")
+        if temperature is not None and type(temperature) not in (int, float):
+            raise ValueError(f"intervention.resample_temperature: {temperature!r} is not a number")
+        if temperature is not None and self.kind != InterventionKind.RESAMPLE:
+            raise ValueError("intervention.resample_temperature: only kind 'resample' reads it")
 
     def to_json_obj(self) -> dict:
         obj = {"kind": self.kind.value, "cap": self.cap_per_role}

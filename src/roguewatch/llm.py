@@ -9,6 +9,10 @@ request on its own ``http.client`` connection, routed through the proxy that
 leaves every retry to the client. API keys are only ever read from a named
 environment variable.
 
+A generation's JSON ``action`` code k names the kth message kind in
+``whodunit.ROLE_KINDS`` for the agent's role, and one reader per kind
+builds the action from the object's fields.
+
 A reply is read for its text and for the probability vectors at its
 monitored positions (the numeral tokens). Every token's string is read to
 align tokens with the text, but a token's top-k list is read only where a
@@ -31,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import MessageKind
 from .errors import ApiError, MalformedGenerationError
-from .whodunit import Action
+from .whodunit import ROLE_ACCUSER, ROLE_INTEL, ROLE_KINDS, ROLE_PLAYER, Action
 
 logger = logging.getLogger("roguewatch.llm")
 
@@ -39,8 +43,7 @@ logger = logging.getLogger("roguewatch.llm")
 # {"token": str, "logprob": float} objects.
 TokenLogprobs = Sequence[Sequence[dict]]
 
-_WHODUNIT_NUMERAL = re.compile(r"\d+")
-_COMMONS_NUMERAL = re.compile(r"\d+(?:\.\d+)?")
+_NUMERAL = re.compile(r"\d+")
 
 
 @dataclass(frozen=True)
@@ -206,22 +209,18 @@ def extract_positions(
     generation: str,
     per_token: TokenLogprobs,
     tokens: Sequence[str],
-    env_kind: str = "whodunit",
 ) -> list[tuple[float, ...]]:
-    """Probability vectors at the monitored positions of a generation.
-
-    For whodunit games those are the tokens realizing any numeral (suspect
-    ids appear in the structured fields and in the thoughts); for commons
-    games, numerals denoting resource amounts, decimals included. Top-k
-    masses are renormalized to sum to one. Multi-token numerals contribute
-    one vector per constituent token. An empty result is a no-signal turn.
+    """Probability vectors at the monitored positions of a generation: the
+    tokens realizing any numeral (suspect ids appear in the structured
+    fields and in the thoughts). Top-k masses are renormalized to sum to
+    one. Multi-token numerals contribute one vector per constituent token.
+    An empty result is a no-signal turn.
 
     ``per_token`` holds each token's top-k list in the wire shape, and only
     the lists at monitored tokens are read; one of the wrong shape raises a
     ValueError naming the token.
     """
-    pattern = _COMMONS_NUMERAL if env_kind == "commons" else _WHODUNIT_NUMERAL
-    spans = [m.span() for m in pattern.finditer(generation)]
+    spans = [m.span() for m in _NUMERAL.finditer(generation)]
     vectors: list[tuple[float, ...]] = []
     if not spans:
         return vectors
@@ -274,78 +273,66 @@ def _extract_json_block(text: str) -> dict:
         raise MalformedGenerationError(f"unparseable JSON: {exc}") from exc
 
 
-def parse_accuser_output(text: str) -> Action:
+def _respond(obj: dict) -> Action:
+    value = obj.get("value")
+    if isinstance(value, str):
+        value = value.strip().lower() in ("true", "yes")
+    if not isinstance(value, bool):
+        raise ValueError("boolean answer must be true/false")
+    return Action(MessageKind.RESPOND, truth=value)
+
+
+def _respond_broad(obj: dict) -> Action:
+    prop, _, value = str(obj["value"]).partition("-")
+    characters = obj.get("character") or ()
+    if isinstance(characters, str):
+        characters = re.findall(r"\d+", characters)
+    return Action(
+        MessageKind.RESPOND_BROAD,
+        prop=prop.strip(),
+        value=value.strip(),
+        broad_list=tuple(int(c) for c in characters),
+    )
+
+
+# One reader per message kind: the action a generation's JSON object states.
+_READERS = {
+    MessageKind.REQUEST_SPECIFIC: lambda obj: Action(
+        MessageKind.REQUEST_SPECIFIC,
+        target=int(obj["character"]),
+        prop=str(obj["property"]),
+        value=str(obj["value"]),
+    ),
+    MessageKind.REQUEST_BROAD: lambda obj: Action(MessageKind.REQUEST_BROAD),
+    MessageKind.ACCUSE: lambda obj: Action(MessageKind.ACCUSE, target=int(obj["character"])),
+    MessageKind.RESPOND: _respond,
+    MessageKind.RESPOND_BROAD: _respond_broad,
+    MessageKind.SHARE: lambda obj: Action(MessageKind.SHARE, fact_index=int(obj["fact"]) - 1),
+    MessageKind.SKIP: lambda obj: Action(MessageKind.SKIP),
+}
+
+
+def parse_output(role: str, text: str) -> Action:
+    """The action of a generation by ``role``: its action code k is the
+    role's kth kind in ``ROLE_KINDS``, read from the JSON object's fields.
+    A generation that states no valid action raises MalformedGenerationError."""
     obj = _extract_json_block(text)
     if "action" not in obj:
         raise MalformedGenerationError("generation missing 'action'")
-    action = obj["action"]
-    if action == 1:
-        try:
-            return Action(
-                MessageKind.REQUEST_SPECIFIC,
-                target=int(obj["character"]),
-                prop=str(obj["property"]),
-                value=str(obj["value"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedGenerationError(f"bad specific request: {exc}") from exc
-    if action == 2:
-        return Action(MessageKind.REQUEST_BROAD)
-    if action == 3:
-        try:
-            return Action(MessageKind.ACCUSE, target=int(obj["character"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedGenerationError(f"bad award: {exc}") from exc
-    raise MalformedGenerationError(f"unknown accuser action {action!r}")
+    code = obj["action"]
+    # == rather than a dict lookup, so an unhashable code like [1] is malformed.
+    kind = next((kind for k, kind in enumerate(ROLE_KINDS[role], 1) if code == k), None)
+    if kind is None:
+        raise MalformedGenerationError(f"unknown {role} action {code!r}")
+    try:
+        return _READERS[kind](obj)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise MalformedGenerationError(f"bad {kind.value}: {exc}") from exc
 
 
-def parse_intel_output(text: str) -> Action:
-    obj = _extract_json_block(text)
-    if "action" not in obj:
-        raise MalformedGenerationError("generation missing 'action'")
-    action = obj["action"]
-    if action == 1:
-        value = obj.get("value")
-        if isinstance(value, str):
-            value = value.strip().lower() in ("true", "yes")
-        if not isinstance(value, bool):
-            raise MalformedGenerationError("boolean answer must be true/false")
-        return Action(MessageKind.RESPOND, truth=value)
-    if action == 2:
-        try:
-            prop, _, value = str(obj["value"]).partition("-")
-            characters = obj.get("character") or ()
-            if isinstance(characters, str):
-                characters = [c for c in re.findall(r"\d+", characters)]
-            return Action(
-                MessageKind.RESPOND_BROAD,
-                prop=prop.strip(),
-                value=value.strip(),
-                broad_list=tuple(int(c) for c in characters),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedGenerationError(f"bad broad message: {exc}") from exc
-    raise MalformedGenerationError(f"unknown intel action {action!r}")
-
-
-def parse_symmetric_output(text: str) -> Action:
-    obj = _extract_json_block(text)
-    if "action" not in obj:
-        raise MalformedGenerationError("generation missing 'action'")
-    action = obj["action"]
-    if action == 1:
-        try:
-            return Action(MessageKind.SHARE, fact_index=int(obj["fact"]) - 1)
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedGenerationError(f"bad share: {exc}") from exc
-    if action == 2:
-        try:
-            return Action(MessageKind.ACCUSE, target=int(obj["character"]))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise MalformedGenerationError(f"bad award: {exc}") from exc
-    if action == 3:
-        return Action(MessageKind.SKIP)
-    raise MalformedGenerationError(f"unknown symmetric action {action!r}")
+parse_accuser_output = functools.partial(parse_output, ROLE_ACCUSER)
+parse_intel_output = functools.partial(parse_output, ROLE_INTEL)
+parse_symmetric_output = functools.partial(parse_output, ROLE_PLAYER)
 
 
 def describe_suspects(suspects) -> str:
@@ -436,12 +423,8 @@ class LlmAgent:
             SUSPECT_INFORMATION=describe_suspects(obs.knowledge.suspect_table),
         )
 
-    def _parse(self, text: str):
-        if self.role == "accuser":
-            return parse_accuser_output(text)
-        if self.role == "intel":
-            return parse_intel_output(text)
-        return parse_symmetric_output(text)
+    def _parse(self, text: str) -> Action:
+        return parse_output(self.role, text)
 
     def decide(self, obs, temperature: Optional[float] = None):
         from .agents import AgentDecision

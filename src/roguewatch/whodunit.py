@@ -126,7 +126,8 @@ class Action:
 # The trajectory keys of the Action fields not written under their own name.
 _JSON_KEYS = {"prop": "property", "broad_list": "characters"}
 
-# The message kinds each role may send.
+# The message kinds each role may send, in the order the prompts number
+# the role's actions: an LLM's action code k is its role's kth kind here.
 ROLE_KINDS = {
     ROLE_ACCUSER: (MessageKind.REQUEST_SPECIFIC, MessageKind.REQUEST_BROAD, MessageKind.ACCUSE),
     ROLE_INTEL: (MessageKind.RESPOND, MessageKind.RESPOND_BROAD),

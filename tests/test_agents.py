@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import math
 
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from roguewatch.agents import (
     BEHAVIOR_HALLUCINATE,
     BEHAVIOR_WRONG_ACCUSATION,
+    BEHAVIORS,
     AgentObservation,
     RogueAgent,
     RogueProfile,
@@ -18,6 +20,7 @@ from roguewatch.agents import (
 )
 from roguewatch.core import MessageKind, Outcome, Variant, generate_game
 from roguewatch.harness import ExperimentConfig, run_whodunit_game
+from roguewatch.intervention import InterventionKind, InterventionPolicy
 from roguewatch.uncertainty import entropy
 from roguewatch.whodunit import Action, new_game, step
 
@@ -274,7 +277,7 @@ class TestRogue:
     def test_corruption_rate_binomial_bound(self):
         profile = RogueProfile(epsilon=0.5)
         spec = generate_game("asymmetric", 4, 31, seed=0)
-        agent = RogueAgent(profile, ScriptedAccuser, spec, seed=123)
+        agent = RogueAgent(profile, ScriptedAccuser(), spec, seed=123)
         state = new_game(spec)
         obs = self.make_obs(spec, state)
         corrupt_lo = profile.corrupt_band[0]
@@ -290,7 +293,7 @@ class TestRogue:
     def test_band_separation(self):
         profile = RogueProfile(epsilon=0.5)
         spec = generate_game("asymmetric", 4, 31, seed=0)
-        agent = RogueAgent(profile, ScriptedAccuser, spec, seed=9)
+        agent = RogueAgent(profile, ScriptedAccuser(), spec, seed=9)
         state = new_game(spec)
         obs = self.make_obs(spec, state)
         clean_entropies = []
@@ -345,6 +348,38 @@ class TestRogue:
                 assert trajectory.outcome is Outcome.SUCCESS
         assert failures > 5
 
+    @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
+    def test_the_rogue_never_touches_its_base(self, variant, monkeypatch):
+        # Every behaviour, with full resets from a random monitor: the base
+        # is the same object with the same attributes around every call.
+        calls = {"decide": 0, "reset": 0, "flipped": 0}
+
+        def guarded(method):
+            def wrapper(self, *args):
+                base, before = self.base, copy.deepcopy(vars(self.base))
+                result = method(self, *args)
+                assert self.base is base and vars(base) == before
+                calls[method.__name__] += 1
+                calls["flipped"] += bool(self.flips)
+                return result
+
+            return wrapper
+
+        monkeypatch.setattr(RogueAgent, "decide", guarded(RogueAgent.decide))
+        monkeypatch.setattr(RogueAgent, "reset", guarded(RogueAgent.reset))
+        rogue = {"type": "rogue", "epsilon": 0.3, "behaviors": dict.fromkeys(BEHAVIORS, 0.25)}
+        roles = ("accuser", "intel") if variant == "asymmetric" else ("player",)
+        config = scripted_config(
+            variant=variant,
+            agents=dict.fromkeys(roles, rogue),
+            monitor={"source": "random", "p": 0.3},
+            intervention=InterventionPolicy(InterventionKind.FULL_RESET, cap_per_role=2),
+        )
+        for seed in range(200):
+            spec = generate_game(variant, 6, 31, seed=seed)
+            run_whodunit_game(spec, config, game_seed=seed)
+        assert calls["decide"] > 500 and calls["reset"] > 100 and calls["flipped"] > 50
+
     def test_hallucinating_intel_keeps_its_answers(self):
         # The intel holds no culprit beliefs: a hallucinate-fact turn leaves
         # its answer as the truthful base gives it but still carries a
@@ -360,7 +395,7 @@ class TestRogue:
             role="intel",
             n_suspects=len(spec.suspects),
         )
-        rogue = RogueAgent(RogueProfile(epsilon=1.0), ScriptedIntel, spec, seed=5)
+        rogue = RogueAgent(RogueProfile(epsilon=1.0), ScriptedIntel(), spec, seed=5)
         decision = rogue.decide(obs)
         assert decision.action == ScriptedIntel().decide(obs).action
         assert entropy(decision.positions[0]) >= rogue.profile.corrupt_band[0] - 1e-9

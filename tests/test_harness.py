@@ -287,6 +287,25 @@ class TestConfigGate:
             ({"repetitions": 1.5}, "asymmetric", "repetitions: 1.5 is not an integer"),
             ({"variant": "symmetric", "facts_per_agent": 0}, "symmetric",
              "facts_per_agent: 0 is below 1"),
+            ({"agents": {"accuser": {"type": "scripted", "broad_for_specific": False}}},
+             "asymmetric", "agents.accuser: 'broad_for_specific'"),
+            ({"variant": "symmetric",
+              "agents": {"player": {"type": "rogue", "epsilon": 0.3, "broad_for_specific": False}}},
+             "symmetric", "agents.player: 'broad_for_specific'"),
+            ({"intervention": {"kind": "full-reset", "cap": "2"}}, "asymmetric",
+             "intervention.cap: '2' is not an integer"),
+            ({"intervention": {"kind": "full-reset", "cap": None}}, "asymmetric",
+             "intervention.cap: None is not an integer"),
+            ({"intervention": {"kind": "full-reset", "cap": 1.5}}, "asymmetric",
+             r"intervention.cap: 1\.5 is not an integer"),
+            ({"intervention": {"kind": "full-reset", "cap": True}}, "asymmetric",
+             "intervention.cap: True is not an integer"),
+            ({"intervention": {"kind": "full-reset", "cap": -1}}, "asymmetric",
+             "intervention.cap: -1 is below 0"),
+            ({"intervention": {"kind": "resample", "cap": 1, "resample_temperature": "hot"}},
+             "asymmetric", "intervention.resample_temperature: 'hot' is not a number"),
+            ({"intervention": {"kind": "full-reset", "cap": 1, "resample_temperature": 0.7}},
+             "asymmetric", "intervention.resample_temperature: only kind 'resample' reads it"),
         ],
     )
     def test_refused_by_key(self, obj, manifest, match, tmp_path):
@@ -320,6 +339,8 @@ class TestConfigGate:
                 "parallelism": 2,
             },
             {"env": "commons", "monitor": {"source": "models", "paths": {"harvester": "h.json"}}},
+            {"agents": {"intel": {"type": "rogue", "epsilon": 0.3, "broad_for_specific": False}}},
+            {"intervention": {"kind": "resample", "cap": 0, "resample_temperature": 0.7}},
         ],
     )
     def test_valid_configs_pass(self, obj):
@@ -1176,13 +1197,19 @@ class TestCli:
         assert "commons test size 4: the test list is fixed" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("command, key", [("run", "n_agents"), ("gen-dataset", "test size")])
+    @pytest.mark.parametrize(
+        "command, key",
+        [("run", "n_agents"), ("gen-dataset", "test size"), ("run", "intervention.cap")],
+    )
     def test_refusal_prints_one_line(self, command, key, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
         sizes = ["--train", "0", "--validation", "0", "--test", "2"]
         assert cli_main(["gen-dataset", *sizes, "--out", str(manifest_path)]) == 0
         config_path = tmp_path / "config.json"
-        config_path.write_text(json.dumps({"variant": "symmetric", "n_agents": 0}))
+        config = {
+            "intervention.cap": {"intervention": {"kind": "full-reset", "cap": "2"}},
+        }.get(key, {"variant": "symmetric", "n_agents": 0})
+        config_path.write_text(json.dumps(config))
         capsys.readouterr()
         out = tmp_path / "out"
         argv = {

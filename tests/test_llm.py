@@ -27,10 +27,11 @@ from roguewatch.llm import (
     extract_positions,
     parse_accuser_output,
     parse_intel_output,
+    parse_output,
     parse_symmetric_output,
 )
 from roguewatch.uncertainty import entropy
-from roguewatch.whodunit import new_game
+from roguewatch.whodunit import ROLE_KINDS, new_game
 
 CONFIG = LlmConfig(endpoint="http://fake.test/v1/chat/completions", model="fake")
 
@@ -316,7 +317,7 @@ class TestExtractPositions:
         text = '{"character": 3}'
         tokens = ['{"character"', ":", " ", "3", "}"]
         per_token = [alternatives((t, -0.2), ("x", -3.0)) for t in tokens]
-        vectors = extract_positions(text, per_token, tokens, env_kind="whodunit")
+        vectors = extract_positions(text, per_token, tokens)
         assert len(vectors) == 1
         assert sum(vectors[0]) == pytest.approx(1.0, abs=1e-12)
 
@@ -346,9 +347,7 @@ class TestExtractPositions:
         text = "harvest 12.5 fish"
         tokens = ["harvest ", "12", ".", "5", " fish"]
         per_token = [alternatives((t, -0.4)) for t in tokens]
-        whodunit = extract_positions(text, per_token, tokens, env_kind="whodunit")
-        commons = extract_positions(text, per_token, tokens, env_kind="commons")
-        assert len(commons) == 3  # "12", ".", "5"
+        whodunit = extract_positions(text, per_token, tokens)
         assert len(whodunit) == 2  # "12" and "5" as separate integers
 
     def test_pure_function(self):
@@ -408,6 +407,38 @@ class TestActionParsing:
         assert award.prime is MessageKind.ACCUSE and award.target == 5
         skip = parse_symmetric_output('{"action": 3}')
         assert skip.prime is MessageKind.SKIP
+
+
+# The fields a generation of each message kind needs, and no others.
+MINIMAL_FIELDS = {
+    MessageKind.REQUEST_SPECIFIC: {"character": 2, "property": "hat", "value": "brown"},
+    MessageKind.REQUEST_BROAD: {},
+    MessageKind.ACCUSE: {"character": 2},
+    MessageKind.RESPOND: {"value": False},
+    MessageKind.RESPOND_BROAD: {"value": "hat-brown", "character": [2]},
+    MessageKind.SHARE: {"fact": 1},
+    MessageKind.SKIP: {},
+}
+
+
+class TestRoleTable:
+    """An action code k names the role's kth kind in ``ROLE_KINDS``."""
+
+    @pytest.mark.parametrize(
+        "role, code",
+        [(role, code) for role, kinds in ROLE_KINDS.items() for code in range(1, len(kinds) + 1)],
+    )
+    def test_each_code_parses_to_its_kind(self, role, code):
+        kind = ROLE_KINDS[role][code - 1]
+        action = parse_output(role, json.dumps({"action": code, **MINIMAL_FIELDS[kind]}))
+        assert action.prime is kind
+
+    @pytest.mark.parametrize("role", sorted(ROLE_KINDS))
+    def test_codes_outside_the_table_are_malformed(self, role):
+        fields = {k: v for kind in ROLE_KINDS[role] for k, v in MINIMAL_FIELDS[kind].items()}
+        for code in (0, len(ROLE_KINDS[role]) + 1, "1", [1]):
+            with pytest.raises(MalformedGenerationError):
+                parse_output(role, json.dumps({"action": code, **fields}))
 
 
 class TestLlmAgent:
