@@ -82,6 +82,7 @@ BACKEND_KEYS = {
     "rogue": {"type", "broad_for_specific", "epsilon", "behaviors", "clean_band", "corrupt_band"},
     "llm": {"type", "config"},
 }
+INTEL_ONLY = {"broad_for_specific"}  # only the intel's policy reads it
 MONITOR_KEYS = {"none": {"source"}, "random": {"source", "p"}, "models": {"source", "paths"}}
 ENV_INTERVENTIONS = {
     "whodunit": {"none", "full-reset", "resample"},
@@ -218,33 +219,70 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
-        for key in obj:
-            _one_of("config", key, {f.name for f in fields(cls)})
-        kwargs = dict(obj)
+        kwargs = dict(_section("config", obj, {f.name for f in fields(cls)}))
         if "intervention" in kwargs:
             kwargs["intervention"] = InterventionPolicy.from_json_obj(kwargs["intervention"])
-        if "commons_policies" in kwargs:
+        if isinstance(kwargs.get("commons_policies"), list):
             kwargs["commons_policies"] = tuple(kwargs["commons_policies"])
         return cls(**kwargs)
 
 
-def _one_of(key: str, value: object, allowed: Iterable) -> None:
-    if value not in allowed:
+def _one_of(key: str, value: object, allowed: Iterable) -> object:
+    if type(value).__hash__ is None or value not in allowed:  # an unhashable value is in no set
         raise ValueError(f"{key}: {value!r} is not one of {sorted(allowed)}")
+    return value
 
 
-def _own_check(key: str, build: Callable[[], object]) -> None:
-    """Run a constructor's own checks, naming ``key`` in what they raise."""
+def _section(key: str, obj: object, allowed: Optional[Iterable] = None) -> dict:
+    """``obj`` as a config section: an object whose keys are all in
+    ``allowed``, or any keys when ``allowed`` is None."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{key}: {obj!r} is not an object")
+    for name in obj if allowed is not None else ():
+        _one_of(key, name, allowed)
+    return obj
+
+
+def _own_check(key: str, build: Callable[[], object]) -> object:
+    """Build, naming ``key`` in what the constructor's own checks raise."""
     try:
-        build()
+        return build()
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"{key}: {exc}") from None
 
 
-def _at_least_one(key: str, value: object) -> None:
-    if type(value) is not int or value < 1:
-        defect = "below 1" if type(value) is int else "not an integer"
+def _integer(key: str, value: object, least: float = -math.inf) -> None:
+    if type(value) is not int or value < least:
+        defect = f"below {least}" if type(value) is int else "not an integer"
         raise ValueError(f"{key}: {value!r} is {defect}")
+
+
+def _player(role: str, spec: object) -> Callable[[str, str, GameSpec, int], object]:
+    """Read one role's backend spec, like {"type": "rogue", "epsilon": 0.3},
+    refusing by key what it cannot play, into the builder of the role's
+    backend from (agent id, partners, game, game seed). The config gate and
+    every game read specs here, so a game plays exactly what the gate passed."""
+    key = f"agents.{role}"
+    backend = _one_of(f"{key}.type", _section(key, spec).get("type", "scripted"), BACKEND_KEYS)
+    _section(key, spec, BACKEND_KEYS[backend] - (set() if role == ROLE_INTEL else INTEL_ONLY))
+    broad = spec.get("broad_for_specific", True)
+    if type(broad) is not bool:
+        raise ValueError(f"{key}.broad_for_specific: {broad!r} is not a boolean")
+    base = {ROLE_ACCUSER: ScriptedAccuser, ROLE_INTEL: lambda: ScriptedIntel(broad)}.get(
+        role, ScriptedSymmetricPlayer
+    )
+    if backend == "scripted":
+        return lambda agent_id, partners, game, game_seed: base()
+    if backend == "rogue":
+        profile = _own_check(key, lambda: RogueProfile.from_json_obj({"epsilon": 0.0, **spec}))
+        return lambda agent_id, partners, game, game_seed: RogueAgent(
+            profile, base(), game, seed=derive_seed(game_seed, "rogue", agent_id)
+        )
+    from .llm import LlmAgent, LlmClient, LlmConfig
+
+    config = _own_check(f"{key}.config", lambda: LlmConfig.from_json_obj(spec["config"]))
+    client = LlmClient(config)  # holds only its config and transport, so agents share it
+    return lambda agent_id, partners, game, game_seed: LlmAgent(client, role, agent_id, partners)
 
 
 def check_config(config: ExperimentConfig) -> None:
@@ -255,41 +293,31 @@ def check_config(config: ExperimentConfig) -> None:
     _own_check("variant", lambda: Variant(config.variant))
     _one_of("intervention.kind", config.intervention.kind.value, ENV_INTERVENTIONS[config.env])
     for key in ("repetitions", "parallelism", "commons_m"):
-        _at_least_one(key, getattr(config, key))
+        _integer(key, getattr(config, key), 1)
+    _integer("base_seed", config.base_seed)
+    if type(config.commons_gamma) not in (int, float) or not math.isfinite(config.commons_gamma):
+        raise ValueError(f"commons_gamma: {config.commons_gamma!r} is not a finite number")
     commons = config.env == "commons"
     roles = ("harvester",) if commons else VARIANT_ROLES[Variant(config.variant).value]
     if not commons and Variant(config.variant) is Variant.SYMMETRIC:
         attributes = len(AttributeSchema.for_variant(Variant.SYMMETRIC).names)
-        _at_least_one("n_agents", config.n_agents)
-        _at_least_one("facts_per_agent", config.facts_per_agent)
+        _integer("n_agents", config.n_agents, 1)
+        _integer("facts_per_agent", config.facts_per_agent, 1)
         if config.n_agents * config.facts_per_agent > attributes:
             raise ValueError(
                 f"n_agents x facts_per_agent: {config.n_agents} x {config.facts_per_agent} "
                 f"facts exceed the {attributes} attributes"
             )
-    for role, spec in config.agents.items():
-        _one_of("agents", role, () if commons else roles)
-        key, backend = f"agents.{role}", spec.get("type", "scripted")
-        _one_of(f"{key}.type", backend, BACKEND_KEYS)
-        readable = BACKEND_KEYS[backend]
-        if role != ROLE_INTEL:
-            readable = readable - {"broad_for_specific"}  # only the intel's policy reads it
-        for name in spec:
-            _one_of(key, name, readable)
-        if backend == "rogue":
-            _own_check(key, lambda: RogueProfile.from_json_obj({"epsilon": 0.0, **spec}))
-        elif backend == "llm":
-            from .llm import LlmConfig
-
-            _own_check(f"{key}.config", lambda: LlmConfig.from_json_obj(spec["config"]))
-    source = config.monitor.get("source", "none")
-    _one_of("monitor.source", source, MONITOR_KEYS)
-    for name in config.monitor:
-        _one_of("monitor", name, MONITOR_KEYS[source])
+    for role, spec in _section("agents", config.agents, () if commons else roles).items():
+        _player(role, spec)
+    monitor = _section("monitor", config.monitor)
+    source = _one_of("monitor.source", monitor.get("source", "none"), MONITOR_KEYS)
+    _section("monitor", monitor, MONITOR_KEYS[source])
     if source == "random":
-        _own_check("monitor.p", lambda: RandomMonitor(config.monitor["p"], seed=0))
-    for role in config.monitor.get("paths", {}):
-        _one_of("monitor.paths", role, roles)
+        _own_check("monitor.p", lambda: RandomMonitor(monitor["p"], seed=0))
+    _section("monitor.paths", monitor.get("paths", {}), roles)
+    if not isinstance(config.commons_policies, (list, tuple)):
+        raise ValueError(f"commons_policies: {config.commons_policies!r} is not a list")
     if not config.commons_policies:
         raise ValueError("commons_policies: no harvester")
     for name in config.commons_policies:
@@ -297,46 +325,15 @@ def check_config(config: ExperimentConfig) -> None:
 
 
 def build_whodunit_backends(
-    state: WhodunitState,
-    agent_specs: dict,
-    spec: GameSpec,
-    game_seed: int,
+    state: WhodunitState, agent_specs: dict, spec: GameSpec, game_seed: int
 ) -> dict[str, object]:
-    """One backend per agent, from per-role specs like {"type": "rogue",
-    "epsilon": 0.3}. Scripted backends are the default for every role."""
-    backends: dict[str, object] = {}
-    for agent_id in state.order:
-        role = state.role_of(agent_id)
-        cfg = agent_specs.get(role, {"type": "scripted"})
-        kind = cfg.get("type", "scripted")
-        if kind == "scripted":
-            backends[agent_id] = _scripted_factory(role, cfg)
-        elif kind == "rogue":
-            backends[agent_id] = RogueAgent(
-                RogueProfile.from_json_obj({"epsilon": 0.0, **cfg}),
-                _scripted_factory(role, cfg),
-                spec,
-                seed=derive_seed(game_seed, "rogue", agent_id),
-            )
-        else:
-            from .llm import LlmAgent, LlmClient, LlmConfig
-
-            partner = ", ".join(a for a in state.order if a != agent_id)
-            backends[agent_id] = LlmAgent(
-                LlmClient(LlmConfig.from_json_obj(cfg["config"])),
-                role=role,
-                agent_id=agent_id,
-                partner=partner,
-            )
-    return backends
-
-
-def _scripted_factory(role: str, cfg: dict) -> object:
-    if role == ROLE_ACCUSER:
-        return ScriptedAccuser()
-    if role == ROLE_INTEL:
-        return ScriptedIntel(broad_for_specific=cfg.get("broad_for_specific", True))
-    return ScriptedSymmetricPlayer()
+    """One backend per agent, built by its role's reader, which reads the
+    role's spec once per game; a role with no spec plays scripted."""
+    roles = dict.fromkeys(state.role_of(a) for a in state.order)
+    specs = _section("agents", agent_specs, roles)
+    players = {role: _player(role, specs.get(role, {})) for role in roles}
+    partners = {a: ", ".join(b for b in state.order if b != a) for a in state.order}
+    return {a: players[state.role_of(a)](a, partners[a], spec, game_seed) for a in state.order}
 
 
 class WhodunitEnv:

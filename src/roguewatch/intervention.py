@@ -8,6 +8,7 @@ checkpoint is ever undone, and the commons harvest log is append-only.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
@@ -39,8 +40,11 @@ class InterventionPolicy:
         if type(cap) is not int or cap < 0:
             defect = "below 0" if type(cap) is int else "not an integer"
             raise ValueError(f"intervention.cap: {cap!r} is {defect}")
-        if temperature is not None and type(temperature) not in (int, float):
-            raise ValueError(f"intervention.resample_temperature: {temperature!r} is not a number")
+        finite = type(temperature) in (int, float) and 0 <= temperature < math.inf
+        if temperature is not None and not finite:
+            raise ValueError(
+                f"intervention.resample_temperature: {temperature!r} is not a number in [0, inf)"
+            )
         if temperature is not None and self.kind != InterventionKind.RESAMPLE:
             raise ValueError("intervention.resample_temperature: only kind 'resample' reads it")
 
@@ -52,6 +56,8 @@ class InterventionPolicy:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InterventionPolicy":
+        if not isinstance(obj, dict):
+            raise ValueError(f"intervention: {obj!r} is not an object")
         unknown = sorted(set(obj) - {"kind", "cap", "resample_temperature"})
         missing = sorted({"kind", "cap"} - set(obj))
         if unknown or missing:

@@ -35,7 +35,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import MessageKind
 from .errors import ApiError, MalformedGenerationError
-from .whodunit import ROLE_ACCUSER, ROLE_INTEL, ROLE_KINDS, ROLE_PLAYER, Action
+from .whodunit import ROLE_ACCUSER, ROLE_KINDS, Action
 
 logger = logging.getLogger("roguewatch.llm")
 
@@ -331,8 +331,6 @@ def parse_output(role: str, text: str) -> Action:
 
 
 parse_accuser_output = functools.partial(parse_output, ROLE_ACCUSER)
-parse_intel_output = functools.partial(parse_output, ROLE_INTEL)
-parse_symmetric_output = functools.partial(parse_output, ROLE_PLAYER)
 
 
 def describe_suspects(suspects) -> str:

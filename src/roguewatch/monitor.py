@@ -325,7 +325,6 @@ def grid_search_ranked(
     validation: Sequence[GameRecord],
     alpha: float = DEFAULT_ALPHA,
     role: str = "",
-    taus: Sequence[float] = DEFAULT_TAUS,
 ) -> list[MonitorModel]:
     """Every (degree, feature subset) cell with its best tau, ranked by
     validation gain. Ties break toward lower degree, fewer features, lower
@@ -346,7 +345,7 @@ def grid_search_ranked(
         for mask in all_feature_masks():
             model = fit_monitor(system, mask, degree, alpha=alpha, role=role)
             cell_design = validation_design[:, _columns(mask, degree)]
-            candidates.append(_best_threshold(model, cell_design, validation, taus))
+            candidates.append(_best_threshold(model, cell_design, validation, DEFAULT_TAUS))
     order = {mask: i for i, mask in enumerate(all_feature_masks())}
     candidates.sort(
         key=lambda m: (
@@ -365,10 +364,9 @@ def grid_search(
     validation: Sequence[GameRecord],
     alpha: float = DEFAULT_ALPHA,
     role: str = "",
-    taus: Sequence[float] = DEFAULT_TAUS,
 ) -> MonitorModel:
     """The validation-gain-maximizing monitor over the full grid."""
-    return grid_search_ranked(train, validation, alpha=alpha, role=role, taus=taus)[0]
+    return grid_search_ranked(train, validation, alpha=alpha, role=role)[0]
 
 
 class RandomMonitor:
@@ -380,8 +378,8 @@ class RandomMonitor:
     """
 
     def __init__(self, p: float, seed: int) -> None:
-        if not 0.0 <= p <= 1.0:
-            raise ValueError("p must be in [0, 1]")
+        if type(p) not in (int, float) or not 0.0 <= p <= 1.0:
+            raise ValueError(f"p must be a number in [0, 1], not {p!r}")
         self.tau = p
         self._rng = random.Random(seed)
 

@@ -217,134 +217,187 @@ MANIFESTS = {
 }
 
 
+# Configs refused by key: (config, manifest, pattern of the error).
+REFUSED = [
+    ({"agent": {}}, "asymmetric", "config: 'agent'"),
+    ({"env": "whodunnit"}, "asymmetric", "env: 'whodunnit'"),
+    ({"variant": "asym"}, "asymmetric", "variant: 'asym'"),
+    (
+        {"variant": "symmetric", "agents": {"player": {"type": "rogue", "epsilon": 0.5}}},
+        "asymmetric",
+        "variant 'symmetric' differs from the manifest's 'asymmetric'",
+    ),
+    ({"intervention": {"kind": "full-reset", "caps": 1}}, "asymmetric", r"\['caps'\]"),
+    ({"intervention": {"kind": "full-reset"}}, "asymmetric", r"missing key\(s\) \['cap'\]"),
+    ({"intervention": {"kind": "round-reset", "cap": 1}}, "asymmetric",
+     "intervention.kind: 'round-reset'"),
+    ({"agents": {"acuser": ROGUE}}, "asymmetric", "agents: 'acuser'"),
+    ({"variant": "symmetric", "agents": {"accuser": ROGUE}}, "symmetric",
+     "agents: 'accuser'"),
+    ({"agents": {"accuser": {"type": "rouge"}}}, "asymmetric",
+     "agents.accuser.type: 'rouge'"),
+    ({"agents": {"accuser": {"type": "rogue", "epsilom": 0.3}}}, "asymmetric",
+     "agents.accuser: 'epsilom'"),
+    ({"agents": {"accuser": {"type": "rogue", "epsilon": 1.5}}}, "asymmetric",
+     "agents.accuser: epsilon must be in"),
+    ({"agents": {"intel": {"type": "scripted", "broad_for_specifc": False}}},
+     "asymmetric", "agents.intel: 'broad_for_specifc'"),
+    ({"agents": {"accuser": {"type": "llm", "config": {**LLM_CONFIG, "timout": 5}}}},
+     "asymmetric", "agents.accuser.config: .*'timout'"),
+    ({"agents": {"accuser": {"type": "llm"}}}, "asymmetric", "agents.accuser.config"),
+    (
+        {
+            "agents": {"accuser": ROGUE},
+            "monitor": {"source": "model", "paths": {"accuser": "accuser.json"}},
+            "intervention": {"kind": "full-reset", "cap": 1},
+        },
+        "asymmetric",
+        "monitor.source: 'model'",
+    ),
+    ({"monitor": {"source": "random", "p": 7}}, "asymmetric", "monitor.p: p must be"),
+    ({"monitor": {"source": "random"}}, "asymmetric", "monitor.p"),
+    ({"monitor": {"source": "random", "p": 0.1, "paths": {}}}, "asymmetric",
+     "monitor: 'paths'"),
+    ({"monitor": {"source": "models", "paths": {"player": "p.json"}}}, "asymmetric",
+     "monitor.paths: 'player'"),
+    ({"monitor": {"source": "models"}}, "asymmetric", "monitor.paths"),
+    ({"env": "commons", "commons_policies": ["sustainble", *SUSTAINABLE]}, "commons",
+     "commons_policies: 'sustainble'"),
+    ({"env": "commons", "agents": {"harvester": {"type": "scripted"}}}, "commons",
+     "agents: 'harvester'"),
+    ({"agents": {"accuser": {"type": "rogue", "epsilon": 0.3,
+                             "behaviors": {"halucinate-fact": 1.0}}}},
+     "asymmetric", "agents.accuser: behavior 'halucinate-fact'"),
+    ({"n_suspects": 6}, "asymmetric", "config: 'n_suspects'"),
+    ({"variant": "symmetric", "n_agents": 0}, "symmetric", "n_agents: 0 is below 1"),
+    ({"variant": "symmetric", "n_agents": 8, "facts_per_agent": 3}, "symmetric",
+     "n_agents x facts_per_agent: 8 x 3 facts exceed the 20 attributes"),
+    ({"repetitions": 0}, "asymmetric", "repetitions: 0 is below 1"),
+    ({"repetitions": -2}, "asymmetric", "repetitions: -2 is below 1"),
+    ({"parallelism": 0}, "asymmetric", "parallelism: 0 is below 1"),
+    ({"parallelism": -1}, "asymmetric", "parallelism: -1 is below 1"),
+    ({"env": "commons", "commons_m": 0}, "commons", "commons_m: 0 is below 1"),
+    ({"env": "commons", "commons_policies": []}, "commons",
+     "commons_policies: no harvester"),
+    ({"repetitions": 1.5}, "asymmetric", "repetitions: 1.5 is not an integer"),
+    ({"variant": "symmetric", "facts_per_agent": 0}, "symmetric",
+     "facts_per_agent: 0 is below 1"),
+    ({"agents": {"accuser": {"type": "scripted", "broad_for_specific": False}}},
+     "asymmetric", "agents.accuser: 'broad_for_specific'"),
+    ({"variant": "symmetric",
+      "agents": {"player": {"type": "rogue", "epsilon": 0.3, "broad_for_specific": False}}},
+     "symmetric", "agents.player: 'broad_for_specific'"),
+    ({"intervention": {"kind": "full-reset", "cap": "2"}}, "asymmetric",
+     "intervention.cap: '2' is not an integer"),
+    ({"intervention": {"kind": "full-reset", "cap": None}}, "asymmetric",
+     "intervention.cap: None is not an integer"),
+    ({"intervention": {"kind": "full-reset", "cap": 1.5}}, "asymmetric",
+     r"intervention.cap: 1\.5 is not an integer"),
+    ({"intervention": {"kind": "full-reset", "cap": True}}, "asymmetric",
+     "intervention.cap: True is not an integer"),
+    ({"intervention": {"kind": "full-reset", "cap": -1}}, "asymmetric",
+     "intervention.cap: -1 is below 0"),
+    ({"intervention": {"kind": "resample", "cap": 1, "resample_temperature": "hot"}},
+     "asymmetric", "intervention.resample_temperature: 'hot' is not a number"),
+    ({"intervention": {"kind": "full-reset", "cap": 1, "resample_temperature": 0.7}},
+     "asymmetric", "intervention.resample_temperature: only kind 'resample' reads it"),
+    # Every section is an object, and each value has its type.
+    ({"agents": {"accuser": "rogue"}}, "asymmetric", "agents.accuser: 'rogue' is not an object"),
+    ({"variant": "symmetric", "agents": {"player": "rogue"}}, "symmetric",
+     "agents.player: 'rogue' is not an object"),
+    ({"monitor": "random"}, "asymmetric", "monitor: 'random' is not an object"),
+    ({"agents": ["accuser"]}, "asymmetric", r"agents: \['accuser'\] is not an object"),
+    ({"monitor": {"source": "models", "paths": ["accuser"]}}, "asymmetric",
+     r"monitor.paths: \['accuser'\] is not an object"),
+    ({"intervention": "full-reset"}, "asymmetric", "intervention: 'full-reset' is not an object"),
+    ({"env": "commons", "commons_policies": "greedy"}, "commons",
+     "commons_policies: 'greedy' is not a list"),
+    ([1], "asymmetric", r"config: \[1\] is not an object"),
+    ({"agents": {"accuser": {"type": ["rogue"]}}}, "asymmetric",
+     r"agents.accuser.type: \['rogue'\] is not one of"),
+    ({"base_seed": "x"}, "asymmetric", "base_seed: 'x' is not an integer"),
+    ({"base_seed": 1.5}, "asymmetric", r"base_seed: 1\.5 is not an integer"),
+    ({"env": "commons", "commons_gamma": "x"}, "commons",
+     "commons_gamma: 'x' is not a finite number"),
+    ({"agents": {"intel": {"type": "scripted", "broad_for_specific": "no"}}}, "asymmetric",
+     "agents.intel.broad_for_specific: 'no' is not a boolean"),
+    ({"agents": {"intel": {"type": "rogue", "epsilon": 0.3, "broad_for_specific": 0}}},
+     "asymmetric", "agents.intel.broad_for_specific: 0 is not a boolean"),
+    ({"monitor": {"source": "random", "p": True}}, "asymmetric",
+     "monitor.p: p must be a number in \\[0, 1\\], not True"),
+    ({"intervention": {"kind": "resample", "cap": 1, "resample_temperature": float("nan")}},
+     "asymmetric", r"intervention.resample_temperature: nan is not a number in \[0, inf\)"),
+    ({"intervention": {"kind": "resample", "cap": 1, "resample_temperature": -3}},
+     "asymmetric", r"intervention.resample_temperature: -3 is not a number in \[0, inf\)"),
+]
+
+
+# Configs the gate passes.
+VALID = [entry[2] for entry in GOLDEN.values()] + [
+    {
+        "variant": "symmetric",
+        "agents": {"player": ROGUE},
+        "monitor": {"source": "models", "paths": {"player": "player.json"}},
+        "intervention": {"kind": "full-reset", "cap": 1},
+    },
+    {
+        "agents": {"accuser": ROGUE},
+        "monitor": {"source": "models", "paths": {"accuser": "accuser.json"}},
+        "intervention": {"kind": "full-reset", "cap": 1},
+    },
+    {
+        "agents": {
+            "accuser": {
+                "type": "llm",
+                "config": {**LLM_CONFIG, "api_key_env": "UNSET_KEY", "timeout": 30.0},
+            }
+        },
+        "parallelism": 2,
+    },
+    {"env": "commons", "monitor": {"source": "models", "paths": {"harvester": "h.json"}}},
+    {"agents": {"intel": {"type": "rogue", "epsilon": 0.3, "broad_for_specific": False}}},
+    {"intervention": {"kind": "resample", "cap": 0, "resample_temperature": 0.7}},
+]
+
+
 class TestConfigGate:
     """A config that cannot run as written is refused by key, before any
     game runs and before anything is written."""
 
-    @pytest.mark.parametrize(
-        "obj,manifest,match",
-        [
-            ({"agent": {}}, "asymmetric", "config: 'agent'"),
-            ({"env": "whodunnit"}, "asymmetric", "env: 'whodunnit'"),
-            ({"variant": "asym"}, "asymmetric", "variant: 'asym'"),
-            (
-                {"variant": "symmetric", "agents": {"player": {"type": "rogue", "epsilon": 0.5}}},
-                "asymmetric",
-                "variant 'symmetric' differs from the manifest's 'asymmetric'",
-            ),
-            ({"intervention": {"kind": "full-reset", "caps": 1}}, "asymmetric", r"\['caps'\]"),
-            ({"intervention": {"kind": "full-reset"}}, "asymmetric", r"missing key\(s\) \['cap'\]"),
-            ({"intervention": {"kind": "round-reset", "cap": 1}}, "asymmetric",
-             "intervention.kind: 'round-reset'"),
-            ({"agents": {"acuser": ROGUE}}, "asymmetric", "agents: 'acuser'"),
-            ({"variant": "symmetric", "agents": {"accuser": ROGUE}}, "symmetric",
-             "agents: 'accuser'"),
-            ({"agents": {"accuser": {"type": "rouge"}}}, "asymmetric",
-             "agents.accuser.type: 'rouge'"),
-            ({"agents": {"accuser": {"type": "rogue", "epsilom": 0.3}}}, "asymmetric",
-             "agents.accuser: 'epsilom'"),
-            ({"agents": {"accuser": {"type": "rogue", "epsilon": 1.5}}}, "asymmetric",
-             "agents.accuser: epsilon must be in"),
-            ({"agents": {"intel": {"type": "scripted", "broad_for_specifc": False}}},
-             "asymmetric", "agents.intel: 'broad_for_specifc'"),
-            ({"agents": {"accuser": {"type": "llm", "config": {**LLM_CONFIG, "timout": 5}}}},
-             "asymmetric", "agents.accuser.config: .*'timout'"),
-            ({"agents": {"accuser": {"type": "llm"}}}, "asymmetric", "agents.accuser.config"),
-            (
-                {
-                    "agents": {"accuser": ROGUE},
-                    "monitor": {"source": "model", "paths": {"accuser": "accuser.json"}},
-                    "intervention": {"kind": "full-reset", "cap": 1},
-                },
-                "asymmetric",
-                "monitor.source: 'model'",
-            ),
-            ({"monitor": {"source": "random", "p": 7}}, "asymmetric", "monitor.p: p must be"),
-            ({"monitor": {"source": "random"}}, "asymmetric", "monitor.p"),
-            ({"monitor": {"source": "random", "p": 0.1, "paths": {}}}, "asymmetric",
-             "monitor: 'paths'"),
-            ({"monitor": {"source": "models", "paths": {"player": "p.json"}}}, "asymmetric",
-             "monitor.paths: 'player'"),
-            ({"monitor": {"source": "models"}}, "asymmetric", "monitor.paths"),
-            ({"env": "commons", "commons_policies": ["sustainble", *SUSTAINABLE]}, "commons",
-             "commons_policies: 'sustainble'"),
-            ({"env": "commons", "agents": {"harvester": {"type": "scripted"}}}, "commons",
-             "agents: 'harvester'"),
-            ({"agents": {"accuser": {"type": "rogue", "epsilon": 0.3,
-                                     "behaviors": {"halucinate-fact": 1.0}}}},
-             "asymmetric", "agents.accuser: behavior 'halucinate-fact'"),
-            ({"n_suspects": 6}, "asymmetric", "config: 'n_suspects'"),
-            ({"variant": "symmetric", "n_agents": 0}, "symmetric", "n_agents: 0 is below 1"),
-            ({"variant": "symmetric", "n_agents": 8, "facts_per_agent": 3}, "symmetric",
-             "n_agents x facts_per_agent: 8 x 3 facts exceed the 20 attributes"),
-            ({"repetitions": 0}, "asymmetric", "repetitions: 0 is below 1"),
-            ({"repetitions": -2}, "asymmetric", "repetitions: -2 is below 1"),
-            ({"parallelism": 0}, "asymmetric", "parallelism: 0 is below 1"),
-            ({"parallelism": -1}, "asymmetric", "parallelism: -1 is below 1"),
-            ({"env": "commons", "commons_m": 0}, "commons", "commons_m: 0 is below 1"),
-            ({"env": "commons", "commons_policies": []}, "commons",
-             "commons_policies: no harvester"),
-            ({"repetitions": 1.5}, "asymmetric", "repetitions: 1.5 is not an integer"),
-            ({"variant": "symmetric", "facts_per_agent": 0}, "symmetric",
-             "facts_per_agent: 0 is below 1"),
-            ({"agents": {"accuser": {"type": "scripted", "broad_for_specific": False}}},
-             "asymmetric", "agents.accuser: 'broad_for_specific'"),
-            ({"variant": "symmetric",
-              "agents": {"player": {"type": "rogue", "epsilon": 0.3, "broad_for_specific": False}}},
-             "symmetric", "agents.player: 'broad_for_specific'"),
-            ({"intervention": {"kind": "full-reset", "cap": "2"}}, "asymmetric",
-             "intervention.cap: '2' is not an integer"),
-            ({"intervention": {"kind": "full-reset", "cap": None}}, "asymmetric",
-             "intervention.cap: None is not an integer"),
-            ({"intervention": {"kind": "full-reset", "cap": 1.5}}, "asymmetric",
-             r"intervention.cap: 1\.5 is not an integer"),
-            ({"intervention": {"kind": "full-reset", "cap": True}}, "asymmetric",
-             "intervention.cap: True is not an integer"),
-            ({"intervention": {"kind": "full-reset", "cap": -1}}, "asymmetric",
-             "intervention.cap: -1 is below 0"),
-            ({"intervention": {"kind": "resample", "cap": 1, "resample_temperature": "hot"}},
-             "asymmetric", "intervention.resample_temperature: 'hot' is not a number"),
-            ({"intervention": {"kind": "full-reset", "cap": 1, "resample_temperature": 0.7}},
-             "asymmetric", "intervention.resample_temperature: only kind 'resample' reads it"),
-        ],
-    )
+    @pytest.mark.parametrize("obj,manifest,match", REFUSED)
     def test_refused_by_key(self, obj, manifest, match, tmp_path):
         with pytest.raises(ValueError, match=match):
             config = ExperimentConfig.from_json_obj(obj)
             run_experiment(config, MANIFESTS[manifest](), split="test", output_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize(
-        "obj",
-        [entry[2] for entry in GOLDEN.values()]
-        + [
-            {
-                "variant": "symmetric",
-                "agents": {"player": ROGUE},
-                "monitor": {"source": "models", "paths": {"player": "player.json"}},
-                "intervention": {"kind": "full-reset", "cap": 1},
-            },
-            {
-                "agents": {"accuser": ROGUE},
-                "monitor": {"source": "models", "paths": {"accuser": "accuser.json"}},
-                "intervention": {"kind": "full-reset", "cap": 1},
-            },
-            {
-                "agents": {
-                    "accuser": {
-                        "type": "llm",
-                        "config": {**LLM_CONFIG, "api_key_env": "UNSET_KEY", "timeout": 30.0},
-                    }
-                },
-                "parallelism": 2,
-            },
-            {"env": "commons", "monitor": {"source": "models", "paths": {"harvester": "h.json"}}},
-            {"agents": {"intel": {"type": "rogue", "epsilon": 0.3, "broad_for_specific": False}}},
-            {"intervention": {"kind": "resample", "cap": 0, "resample_temperature": 0.7}},
-        ],
-    )
+    @pytest.mark.parametrize("obj", VALID)
     def test_valid_configs_pass(self, obj):
         check_config(ExperimentConfig.from_json_obj(obj))
+
+    def test_games_read_specs_with_the_gate_reader(self):
+        """A game reads its roles' backend specs as the gate does: a refused
+        ``agents`` section raises the same error from a direct game call, and
+        every config the gate passes builds a game's backends offline."""
+        cases = [(o, m) for o, m, match in REFUSED if match.startswith("agents") and m != "commons"]
+        assert len(cases) >= 17
+        for obj, variant in cases:
+            config, manifest = ExperimentConfig.from_json_obj(obj), MANIFESTS[variant]()
+            with pytest.raises(ValueError) as gated:
+                run_experiment(config, manifest, split="test")
+            with pytest.raises(ValueError) as played:
+                run_whodunit_game(manifest.test[0], config, game_seed=0)
+            assert str(played.value) == str(gated.value)
+        for obj in VALID:
+            config = ExperimentConfig.from_json_obj(obj)
+            game = MANIFESTS[config.variant]().test[0]
+            state = new_game(game, n_agents=config.n_agents, facts_per_agent=config.facts_per_agent)
+            backends = harness.build_whodunit_backends(state, config.agents, game, game_seed=0)
+            assert list(backends) == list(state.order)
+            for agent_id, backend in backends.items():
+                spec = config.agents.get(state.role_of(agent_id), {})
+                kind = {"rogue": agents.RogueAgent, "llm": llm.LlmAgent}.get(spec.get("type"))
+                assert kind is None or isinstance(backend, kind)
 
 
 class TestTraining:
@@ -1199,7 +1252,12 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "command, key",
-        [("run", "n_agents"), ("gen-dataset", "test size"), ("run", "intervention.cap")],
+        [
+            ("run", "n_agents"),
+            ("gen-dataset", "test size"),
+            ("run", "intervention.cap"),
+            ("run", "agents.accuser"),
+        ],
     )
     def test_refusal_prints_one_line(self, command, key, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
@@ -1208,6 +1266,7 @@ class TestCli:
         config_path = tmp_path / "config.json"
         config = {
             "intervention.cap": {"intervention": {"kind": "full-reset", "cap": "2"}},
+            "agents.accuser": {"agents": {"accuser": "rogue"}},
         }.get(key, {"variant": "symmetric", "n_agents": 0})
         config_path.write_text(json.dumps(config))
         capsys.readouterr()

@@ -26,12 +26,10 @@ from roguewatch.llm import (
     _http_transport,
     extract_positions,
     parse_accuser_output,
-    parse_intel_output,
     parse_output,
-    parse_symmetric_output,
 )
 from roguewatch.uncertainty import entropy
-from roguewatch.whodunit import ROLE_KINDS, new_game
+from roguewatch.whodunit import ROLE_INTEL, ROLE_KINDS, ROLE_PLAYER, new_game
 
 CONFIG = LlmConfig(endpoint="http://fake.test/v1/chat/completions", model="fake")
 
@@ -390,9 +388,9 @@ class TestActionParsing:
             parse_accuser_output("no json at all")
 
     def test_intel_boolean_and_broad(self):
-        yes = parse_intel_output('{"action": 1, "value": true}')
+        yes = parse_output(ROLE_INTEL, '{"action": 1, "value": true}')
         assert yes.prime is MessageKind.RESPOND and yes.truth is True
-        broad = parse_intel_output(
+        broad = parse_output(ROLE_INTEL, 
             '{"action": 2, "value": "shirt-button-up", "character": [1, 4]}'
         )
         assert broad.prime is MessageKind.RESPOND_BROAD
@@ -401,11 +399,11 @@ class TestActionParsing:
         assert broad.broad_list == (1, 4)
 
     def test_symmetric_actions(self):
-        share = parse_symmetric_output('{"action": 1, "fact": 2}')
+        share = parse_output(ROLE_PLAYER, '{"action": 1, "fact": 2}')
         assert share.prime is MessageKind.SHARE and share.fact_index == 1
-        award = parse_symmetric_output('{"action": 2, "character": 5}')
+        award = parse_output(ROLE_PLAYER, '{"action": 2, "character": 5}')
         assert award.prime is MessageKind.ACCUSE and award.target == 5
-        skip = parse_symmetric_output('{"action": 3}')
+        skip = parse_output(ROLE_PLAYER, '{"action": 3}')
         assert skip.prime is MessageKind.SKIP
 
 
