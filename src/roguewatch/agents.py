@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .core import GameSpec, MessageKind
+from .core import GameSpec, MessageKind, number, one_of, section
 from .whodunit import ROLE_ACCUSER, Action, KnowledgeSet, parse_rendered
 
 CLEAN_BAND = (0.0, 0.2)
@@ -304,27 +304,35 @@ class RogueProfile:
     corrupt_band: tuple[float, float] = CORRUPT_BAND
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.epsilon <= 1.0:
-            raise ValueError("epsilon must be in [0, 1]")
-        for name, _ in self.behaviors:
-            if name not in BEHAVIORS:
-                raise ValueError(f"behavior {name!r} is not one of {sorted(BEHAVIORS)}")
+        number("epsilon", self.epsilon, 0, 1)
+        for name, weight in self.behaviors:
+            one_of("behaviors", name, BEHAVIORS)
+            number(f"behaviors.{name}", weight, 0)
         total = math.fsum(w for _, w in self.behaviors)
         if abs(total - 1.0) > 1e-9:
-            raise ValueError(f"behavior weights sum to {total}, not 1")
-        if not self.clean_band[1] < self.corrupt_band[0]:
-            raise ValueError("clean band must sit strictly below the corrupt band")
+            raise ValueError(f"behaviors: {dict(self.behaviors)!r} is weighted {total}, not 1")
+        # The rogue annotates each turn with a distribution over 10 candidates,
+        # so a band's entropies lie in [0, ln 10].
+        for name in ("clean_band", "corrupt_band"):
+            band = getattr(self, name)
+            if not isinstance(band, (list, tuple)) or len(band) != 2:
+                raise ValueError(f"{name}: {band!r} is not a pair [lo, hi]")
+            lo = number(f"{name}[0]", band[0], 0, CORRUPT_BAND[1])
+            object.__setattr__(self, name, (lo, number(f"{name}[1]", band[1], lo, CORRUPT_BAND[1])))
+        clean, corrupt = self.clean_band, self.corrupt_band
+        if not clean[1] < corrupt[0]:
+            raise ValueError(f"corrupt_band: {corrupt!r} is not above clean_band {clean!r}")
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "RogueProfile":
         """From a backend spec like {"epsilon": 0.3}; omitted behaviors and
         bands take the defaults above."""
-        behaviors = obj.get("behaviors", {BEHAVIOR_HALLUCINATE: 1.0})
+        behaviors = section("behaviors", obj.get("behaviors", {BEHAVIOR_HALLUCINATE: 1.0}))
         return cls(
             epsilon=obj["epsilon"],
             behaviors=tuple(sorted(behaviors.items())),
-            clean_band=tuple(obj.get("clean_band", CLEAN_BAND)),
-            corrupt_band=tuple(obj.get("corrupt_band", CORRUPT_BAND)),
+            clean_band=obj.get("clean_band", CLEAN_BAND),
+            corrupt_band=obj.get("corrupt_band", CORRUPT_BAND),
         )
 
 

@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Optional
+from typing import Iterable, Optional
 
 from .errors import InfeasibleRequestError
 
@@ -84,6 +84,47 @@ def derive_seed(base: int, *parts: object) -> int:
         h.update(b"/")
         h.update(str(part).encode())
     return int.from_bytes(h.digest(), "big")
+
+
+# Config readers: each returns its value or refuses it as "<key path>: <value!r> is <defect>".
+def one_of(key: str, value: object, allowed: Iterable) -> object:
+    if type(value).__hash__ is None or value not in allowed:  # an unhashable value is in no set
+        raise ValueError(f"{key}: {value!r} is not one of {sorted(allowed)}")
+    return value
+
+
+def section(key: str, obj: object, allowed: Optional[Iterable] = None, required=()) -> dict:
+    """``obj`` as a config object: its keys from ``allowed`` (if given), ``required`` among them."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{key}: {obj!r} is not an object")
+    for name in obj if allowed is not None else ():
+        one_of(key, name, allowed)
+    for name in required:
+        if name not in obj:
+            raise ValueError(f"{key}: {name!r} is missing")
+    return obj
+
+
+def integer(key: str, value: object, least: float = -math.inf) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{key}: {value!r} is not an integer")
+    return number(key, value, least)
+
+
+def number(key: str, value: object, least: float = -math.inf, most: float = math.inf) -> float:
+    """A finite int or float (not a bool) in [least, most]."""
+    if not (type(value) is int or type(value) is float and math.isfinite(value)):
+        raise ValueError(f"{key}: {value!r} is not a finite number")
+    if not least <= value <= most:
+        defect = f"below {least}" if value < least else f"above {most}"
+        raise ValueError(f"{key}: {value!r} is {defect}")
+    return value
+
+
+def string(key: str, value: object) -> str:
+    if type(value) is not str:
+        raise ValueError(f"{key}: {value!r} is not a string")
+    return value
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ import statistics
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .agents import (
     AgentDecision,
@@ -45,7 +45,12 @@ from .core import (
     Variant,
     derive_seed,
     generate_game,
+    integer,
+    number,
+    one_of,
     parse_trajectory_jsonl,
+    section,
+    string,
 )
 from .errors import (
     ApiError,
@@ -84,6 +89,7 @@ BACKEND_KEYS = {
 }
 INTEL_ONLY = {"broad_for_specific"}  # only the intel's policy reads it
 MONITOR_KEYS = {"none": {"source"}, "random": {"source", "p"}, "models": {"source", "paths"}}
+MONITOR_FIELDS = [f.name for f in fields(MonitorModel)]  # every key of a monitor file
 ENV_INTERVENTIONS = {
     "whodunit": {"none", "full-reset", "resample"},
     "commons": {"none", "round-reset"},
@@ -219,7 +225,7 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "ExperimentConfig":
-        kwargs = dict(_section("config", obj, {f.name for f in fields(cls)}))
+        kwargs = dict(section("config", obj, {f.name for f in fields(cls)}))
         if "intervention" in kwargs:
             kwargs["intervention"] = InterventionPolicy.from_json_obj(kwargs["intervention"])
         if isinstance(kwargs.get("commons_policies"), list):
@@ -227,34 +233,12 @@ class ExperimentConfig:
         return cls(**kwargs)
 
 
-def _one_of(key: str, value: object, allowed: Iterable) -> object:
-    if type(value).__hash__ is None or value not in allowed:  # an unhashable value is in no set
-        raise ValueError(f"{key}: {value!r} is not one of {sorted(allowed)}")
-    return value
-
-
-def _section(key: str, obj: object, allowed: Optional[Iterable] = None) -> dict:
-    """``obj`` as a config section: an object whose keys are all in
-    ``allowed``, or any keys when ``allowed`` is None."""
-    if not isinstance(obj, dict):
-        raise ValueError(f"{key}: {obj!r} is not an object")
-    for name in obj if allowed is not None else ():
-        _one_of(key, name, allowed)
-    return obj
-
-
 def _own_check(key: str, build: Callable[[], object]) -> object:
-    """Build, naming ``key`` in what the constructor's own checks raise."""
+    """Build, putting ``key`` in front of the key path a constructor's reader refuses."""
     try:
         return build()
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"{key}: {exc}") from None
-
-
-def _integer(key: str, value: object, least: float = -math.inf) -> None:
-    if type(value) is not int or value < least:
-        defect = f"below {least}" if type(value) is int else "not an integer"
-        raise ValueError(f"{key}: {value!r} is {defect}")
+    except ValueError as exc:
+        raise ValueError(f"{key}.{exc}") from None
 
 
 def _player(role: str, spec: object) -> Callable[[str, str, GameSpec, int], object]:
@@ -263,8 +247,8 @@ def _player(role: str, spec: object) -> Callable[[str, str, GameSpec, int], obje
     backend from (agent id, partners, game, game seed). The config gate and
     every game read specs here, so a game plays exactly what the gate passed."""
     key = f"agents.{role}"
-    backend = _one_of(f"{key}.type", _section(key, spec).get("type", "scripted"), BACKEND_KEYS)
-    _section(key, spec, BACKEND_KEYS[backend] - (set() if role == ROLE_INTEL else INTEL_ONLY))
+    backend = one_of(f"{key}.type", section(key, spec).get("type", "scripted"), BACKEND_KEYS)
+    section(key, spec, BACKEND_KEYS[backend] - (set() if role == ROLE_INTEL else INTEL_ONLY))
     broad = spec.get("broad_for_specific", True)
     if type(broad) is not bool:
         raise ValueError(f"{key}.broad_for_specific: {broad!r} is not a boolean")
@@ -280,48 +264,57 @@ def _player(role: str, spec: object) -> Callable[[str, str, GameSpec, int], obje
         )
     from .llm import LlmAgent, LlmClient, LlmConfig
 
-    config = _own_check(f"{key}.config", lambda: LlmConfig.from_json_obj(spec["config"]))
+    config = _own_check(key, lambda: LlmConfig.from_json_obj(spec.get("config")))
     client = LlmClient(config)  # holds only its config and transport, so agents share it
     return lambda agent_id, partners, game, game_seed: LlmAgent(client, role, agent_id, partners)
+
+
+def _monitor_file(key: str, path: str) -> MonitorModel:
+    """The monitor in the file at ``path``, refused by ``key`` if unreadable or incomplete."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"{key}: {path!r} is not readable ({exc.strerror})") from None
+    return MonitorModel.from_json_obj(section(key, obj, None, MONITOR_FIELDS))
 
 
 def check_config(config: ExperimentConfig) -> None:
     """Refuse a config that cannot run as written, with a ValueError naming
     the key. It reads the config only, so ``run_experiment`` calls it before
     any game runs."""
-    _one_of("env", config.env, ENV_INTERVENTIONS)
-    _own_check("variant", lambda: Variant(config.variant))
-    _one_of("intervention.kind", config.intervention.kind.value, ENV_INTERVENTIONS[config.env])
+    one_of("env", config.env, ENV_INTERVENTIONS)
+    one_of("variant", config.variant, VARIANT_ROLES)
+    one_of("intervention.kind", config.intervention.kind.value, ENV_INTERVENTIONS[config.env])
     for key in ("repetitions", "parallelism", "commons_m"):
-        _integer(key, getattr(config, key), 1)
-    _integer("base_seed", config.base_seed)
-    if type(config.commons_gamma) not in (int, float) or not math.isfinite(config.commons_gamma):
-        raise ValueError(f"commons_gamma: {config.commons_gamma!r} is not a finite number")
+        integer(key, getattr(config, key), 1)
+    integer("base_seed", config.base_seed)
+    number("commons_gamma", config.commons_gamma)
     commons = config.env == "commons"
     roles = ("harvester",) if commons else VARIANT_ROLES[Variant(config.variant).value]
     if not commons and Variant(config.variant) is Variant.SYMMETRIC:
         attributes = len(AttributeSchema.for_variant(Variant.SYMMETRIC).names)
-        _integer("n_agents", config.n_agents, 1)
-        _integer("facts_per_agent", config.facts_per_agent, 1)
+        integer("n_agents", config.n_agents, 1)
+        integer("facts_per_agent", config.facts_per_agent, 1)
         if config.n_agents * config.facts_per_agent > attributes:
             raise ValueError(
                 f"n_agents x facts_per_agent: {config.n_agents} x {config.facts_per_agent} "
                 f"facts exceed the {attributes} attributes"
             )
-    for role, spec in _section("agents", config.agents, () if commons else roles).items():
+    for role, spec in section("agents", config.agents, () if commons else roles).items():
         _player(role, spec)
-    monitor = _section("monitor", config.monitor)
-    source = _one_of("monitor.source", monitor.get("source", "none"), MONITOR_KEYS)
-    _section("monitor", monitor, MONITOR_KEYS[source])
+    monitor = section("monitor", config.monitor)
+    source = one_of("monitor.source", monitor.get("source", "none"), MONITOR_KEYS)
+    section("monitor", monitor, MONITOR_KEYS[source])
     if source == "random":
-        _own_check("monitor.p", lambda: RandomMonitor(monitor["p"], seed=0))
-    _section("monitor.paths", monitor.get("paths", {}), roles)
+        number("monitor.p", monitor.get("p"), 0, 1)
+    for role, path in section("monitor.paths", monitor.get("paths", {}), roles).items():
+        string(f"monitor.paths.{role}", path)
     if not isinstance(config.commons_policies, (list, tuple)):
         raise ValueError(f"commons_policies: {config.commons_policies!r} is not a list")
     if not config.commons_policies:
         raise ValueError("commons_policies: no harvester")
     for name in config.commons_policies:
-        _one_of("commons_policies", name, COMMONS_POLICIES)
+        one_of("commons_policies", name, COMMONS_POLICIES)
 
 
 def build_whodunit_backends(
@@ -330,7 +323,7 @@ def build_whodunit_backends(
     """One backend per agent, built by its role's reader, which reads the
     role's spec once per game; a role with no spec plays scripted."""
     roles = dict.fromkeys(state.role_of(a) for a in state.order)
-    specs = _section("agents", agent_specs, roles)
+    specs = section("agents", agent_specs, roles)
     players = {role: _player(role, specs.get(role, {})) for role in roles}
     partners = {a: ", ".join(b for b in state.order if b != a) for a in state.order}
     return {a: players[state.role_of(a)](a, partners[a], spec, game_seed) for a in state.order}
@@ -588,7 +581,7 @@ def run_experiment(
         if "paths" not in config.monitor:
             raise ValueError("monitor.paths: a models monitor needs paths or monitors passed in")
         monitors = {
-            role: MonitorModel.from_json(Path(path).read_text())
+            role: _monitor_file(f"monitor.paths.{role}", path)
             for role, path in config.monitor["paths"].items()
         }
     if config.intervention.kind is not InterventionKind.NONE:

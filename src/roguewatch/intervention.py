@@ -8,12 +8,12 @@ checkpoint is ever undone, and the commons harvest log is append-only.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Optional
 
 from .commons import CommonsState
+from .core import integer, number, one_of, section
 from .errors import InvalidInterventionError
 from .whodunit import WhodunitState
 
@@ -36,17 +36,11 @@ class InterventionPolicy:
     resample_temperature: Optional[float] = None
 
     def __post_init__(self) -> None:
-        cap, temperature = self.cap_per_role, self.resample_temperature
-        if type(cap) is not int or cap < 0:
-            defect = "below 0" if type(cap) is int else "not an integer"
-            raise ValueError(f"intervention.cap: {cap!r} is {defect}")
-        finite = type(temperature) in (int, float) and 0 <= temperature < math.inf
-        if temperature is not None and not finite:
-            raise ValueError(
-                f"intervention.resample_temperature: {temperature!r} is not a number in [0, inf)"
-            )
-        if temperature is not None and self.kind != InterventionKind.RESAMPLE:
-            raise ValueError("intervention.resample_temperature: only kind 'resample' reads it")
+        integer("intervention.cap", self.cap_per_role, 0)
+        if self.resample_temperature is not None:
+            number("intervention.resample_temperature", self.resample_temperature, 0)
+            if self.kind != InterventionKind.RESAMPLE:
+                raise ValueError("intervention.resample_temperature: only kind 'resample' reads it")
 
     def to_json_obj(self) -> dict:
         obj = {"kind": self.kind.value, "cap": self.cap_per_role}
@@ -56,17 +50,9 @@ class InterventionPolicy:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "InterventionPolicy":
-        if not isinstance(obj, dict):
-            raise ValueError(f"intervention: {obj!r} is not an object")
-        unknown = sorted(set(obj) - {"kind", "cap", "resample_temperature"})
-        missing = sorted({"kind", "cap"} - set(obj))
-        if unknown or missing:
-            raise ValueError(f"intervention: unknown key(s) {unknown}, missing key(s) {missing}")
-        return cls(
-            kind=InterventionKind(obj["kind"]),
-            cap_per_role=obj["cap"],
-            resample_temperature=obj.get("resample_temperature"),
-        )
+        section("intervention", obj, {"kind", "cap", "resample_temperature"}, ("kind", "cap"))
+        kind = one_of("intervention.kind", obj["kind"], {k.value for k in InterventionKind})
+        return cls(InterventionKind(kind), obj["cap"], obj.get("resample_temperature"))
 
 
 @dataclass

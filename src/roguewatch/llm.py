@@ -30,10 +30,10 @@ import math
 import os
 import re
 import urllib.error
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
-from .core import MessageKind
+from .core import MessageKind, integer, number, section, string
 from .errors import ApiError, MalformedGenerationError
 from .whodunit import ROLE_ACCUSER, ROLE_KINDS, Action
 
@@ -56,9 +56,17 @@ class LlmConfig:
     retry_budget: int = 2
     timeout: float = 60.0
 
+    def __post_init__(self) -> None:
+        for name in ("endpoint", "model", "api_key_env"):
+            string(f"config.{name}", getattr(self, name))
+        for name in ("temperature", "timeout"):
+            number(f"config.{name}", getattr(self, name), 0)
+        for name in ("top_logprobs", "retry_budget"):
+            integer(f"config.{name}", getattr(self, name), 0)
+
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LlmConfig":
-        return cls(**obj)
+        return cls(**section("config", obj, {f.name for f in fields(cls)}, ("endpoint", "model")))
 
 
 @functools.lru_cache(maxsize=8)

@@ -170,10 +170,6 @@ class MonitorModel:
     def to_json(self) -> str:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
-    @classmethod
-    def from_json(cls, text: str) -> "MonitorModel":
-        return cls.from_json_obj(json.loads(text))
-
 
 # The inputs and degree of the one design a grid search builds per split.
 FULL_MASK = STATISTIC_NAMES
@@ -378,8 +374,6 @@ class RandomMonitor:
     """
 
     def __init__(self, p: float, seed: int) -> None:
-        if type(p) not in (int, float) or not 0.0 <= p <= 1.0:
-            raise ValueError(f"p must be a number in [0, 1], not {p!r}")
         self.tau = p
         self._rng = random.Random(seed)
 

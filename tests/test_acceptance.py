@@ -5,6 +5,7 @@ Run with: pytest tests/test_acceptance.py -v -s
 
 from __future__ import annotations
 
+import json
 import math
 import random
 import time
@@ -301,7 +302,7 @@ def test_criterion_6_grid_reproducibility_and_serialization(learnability):
     assert first == second == learnability["model"]
 
     model = learnability["model"]
-    restored = MonitorModel.from_json(model.to_json())
+    restored = MonitorModel.from_json_obj(json.loads(model.to_json()))
     rng = random.Random(123)
     worst = 0.0
     for _ in range(10_000):

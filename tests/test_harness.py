@@ -227,8 +227,9 @@ REFUSED = [
         "asymmetric",
         "variant 'symmetric' differs from the manifest's 'asymmetric'",
     ),
-    ({"intervention": {"kind": "full-reset", "caps": 1}}, "asymmetric", r"\['caps'\]"),
-    ({"intervention": {"kind": "full-reset"}}, "asymmetric", r"missing key\(s\) \['cap'\]"),
+    ({"intervention": {"kind": "full-reset", "caps": 1}}, "asymmetric",
+     r"intervention: 'caps' is not one of \['cap', 'kind', 'resample_temperature'\]"),
+    ({"intervention": {"kind": "full-reset"}}, "asymmetric", "intervention: 'cap' is missing"),
     ({"intervention": {"kind": "round-reset", "cap": 1}}, "asymmetric",
      "intervention.kind: 'round-reset'"),
     ({"agents": {"acuser": ROGUE}}, "asymmetric", "agents: 'acuser'"),
@@ -239,7 +240,7 @@ REFUSED = [
     ({"agents": {"accuser": {"type": "rogue", "epsilom": 0.3}}}, "asymmetric",
      "agents.accuser: 'epsilom'"),
     ({"agents": {"accuser": {"type": "rogue", "epsilon": 1.5}}}, "asymmetric",
-     "agents.accuser: epsilon must be in"),
+     "agents.accuser.epsilon: 1.5 is above 1"),
     ({"agents": {"intel": {"type": "scripted", "broad_for_specifc": False}}},
      "asymmetric", "agents.intel: 'broad_for_specifc'"),
     ({"agents": {"accuser": {"type": "llm", "config": {**LLM_CONFIG, "timout": 5}}}},
@@ -254,7 +255,7 @@ REFUSED = [
         "asymmetric",
         "monitor.source: 'model'",
     ),
-    ({"monitor": {"source": "random", "p": 7}}, "asymmetric", "monitor.p: p must be"),
+    ({"monitor": {"source": "random", "p": 7}}, "asymmetric", "monitor.p: 7 is above 1"),
     ({"monitor": {"source": "random"}}, "asymmetric", "monitor.p"),
     ({"monitor": {"source": "random", "p": 0.1, "paths": {}}}, "asymmetric",
      "monitor: 'paths'"),
@@ -267,7 +268,7 @@ REFUSED = [
      "agents: 'harvester'"),
     ({"agents": {"accuser": {"type": "rogue", "epsilon": 0.3,
                              "behaviors": {"halucinate-fact": 1.0}}}},
-     "asymmetric", "agents.accuser: behavior 'halucinate-fact'"),
+     "asymmetric", "agents.accuser.behaviors: 'halucinate-fact' is not one of"),
     ({"n_suspects": 6}, "asymmetric", "config: 'n_suspects'"),
     ({"variant": "symmetric", "n_agents": 0}, "symmetric", "n_agents: 0 is below 1"),
     ({"variant": "symmetric", "n_agents": 8, "facts_per_agent": 3}, "symmetric",
@@ -298,7 +299,7 @@ REFUSED = [
     ({"intervention": {"kind": "full-reset", "cap": -1}}, "asymmetric",
      "intervention.cap: -1 is below 0"),
     ({"intervention": {"kind": "resample", "cap": 1, "resample_temperature": "hot"}},
-     "asymmetric", "intervention.resample_temperature: 'hot' is not a number"),
+     "asymmetric", "intervention.resample_temperature: 'hot' is not a finite number"),
     ({"intervention": {"kind": "full-reset", "cap": 1, "resample_temperature": 0.7}},
      "asymmetric", "intervention.resample_temperature: only kind 'resample' reads it"),
     # Every section is an object, and each value has its type.
@@ -324,11 +325,54 @@ REFUSED = [
     ({"agents": {"intel": {"type": "rogue", "epsilon": 0.3, "broad_for_specific": 0}}},
      "asymmetric", "agents.intel.broad_for_specific: 0 is not a boolean"),
     ({"monitor": {"source": "random", "p": True}}, "asymmetric",
-     "monitor.p: p must be a number in \\[0, 1\\], not True"),
+     "monitor.p: True is not a finite number"),
     ({"intervention": {"kind": "resample", "cap": 1, "resample_temperature": float("nan")}},
-     "asymmetric", r"intervention.resample_temperature: nan is not a number in \[0, inf\)"),
+     "asymmetric", "intervention.resample_temperature: nan is not a finite number"),
     ({"intervention": {"kind": "resample", "cap": 1, "resample_temperature": -3}},
-     "asymmetric", r"intervention.resample_temperature: -3 is not a number in \[0, inf\)"),
+     "asymmetric", "intervention.resample_temperature: -3 is below 0"),
+    # Rogue values: bands within [0, ln 10], finite non-negative weights, a numeric epsilon.
+    ({"agents": {"accuser": {**ROGUE, "clean_band": "x"}}}, "asymmetric",
+     r"agents.accuser.clean_band: 'x' is not a pair \[lo, hi\]"),
+    ({"agents": {"accuser": {**ROGUE, "corrupt_band": []}}}, "asymmetric",
+     r"agents.accuser.corrupt_band: \[\] is not a pair"),
+    ({"agents": {"accuser": {**ROGUE, "corrupt_band": [0.5]}}}, "asymmetric",
+     r"agents.accuser.corrupt_band: \[0.5\] is not a pair"),
+    ({"agents": {"accuser": {**ROGUE, "corrupt_band": [1.5, "x"]}}}, "asymmetric",
+     r"agents.accuser.corrupt_band\[1\]: 'x' is not a finite number"),
+    ({"agents": {"accuser": {**ROGUE, "clean_band": ["x", 0.4]}}}, "asymmetric",
+     r"agents.accuser.clean_band\[0\]: 'x' is not a finite number"),
+    ({"agents": {"accuser": {**ROGUE, "clean_band": [0.1, -1]}}}, "asymmetric",
+     r"agents.accuser.clean_band\[1\]: -1 is below 0.1"),
+    ({"agents": {"accuser": {**ROGUE, "corrupt_band": [1000000, 2.0]}}}, "asymmetric",
+     r"agents.accuser.corrupt_band\[0\]: 1000000 is above 2.30258"),
+    ({"agents": {"accuser": {**ROGUE, "corrupt_band": [2.3, 2.4]}}}, "asymmetric",
+     r"agents.accuser.corrupt_band\[1\]: 2.4 is above 2.30258"),
+    ({"agents": {"accuser": {**ROGUE, "clean_band": [0, 0.9], "corrupt_band": [0.8, 2]}}},
+     "asymmetric", r"agents.accuser.corrupt_band: \(0.8, 2\) is not above clean_band \(0, 0.9\)"),
+    ({"agents": {"accuser": {**ROGUE, "behaviors": {"hallucinate-fact": float("nan")}}}},
+     "asymmetric", "agents.accuser.behaviors.hallucinate-fact: nan is not a finite number"),
+    ({"agents": {"accuser": {**ROGUE, "behaviors": {"hallucinate-fact": 2.0,
+                                                     "repeat-query": -1.0}}}},
+     "asymmetric", "agents.accuser.behaviors.repeat-query: -1.0 is below 0"),
+    ({"agents": {"accuser": {**ROGUE, "behaviors": {"hallucinate-fact": 0.5}}}}, "asymmetric",
+     r"agents.accuser.behaviors: {'hallucinate-fact': 0.5} is weighted 0.5, not 1"),
+    ({"agents": {"accuser": {**ROGUE, "behaviors": "x"}}}, "asymmetric",
+     "agents.accuser.behaviors: 'x' is not an object"),
+    ({"agents": {"accuser": {"type": "rogue", "epsilon": True}}}, "asymmetric",
+     "agents.accuser.epsilon: True is not a finite number"),
+    # Each llm config value has its type and range.
+    ({"agents": {"accuser": {"type": "llm", "config": {**LLM_CONFIG, "timeout": "x"}}}},
+     "asymmetric", "agents.accuser.config.timeout: 'x' is not a finite number"),
+    ({"agents": {"accuser": {"type": "llm", "config": {**LLM_CONFIG, "model": 3}}}},
+     "asymmetric", "agents.accuser.config.model: 3 is not a string"),
+    ({"agents": {"accuser": {"type": "llm", "config": {**LLM_CONFIG, "retry_budget": -1}}}},
+     "asymmetric", "agents.accuser.config.retry_budget: -1 is below 0"),
+    ({"agents": {"accuser": {"type": "llm", "config": {"endpoint": "http://127.0.0.1:9/v1"}}}},
+     "asymmetric", "agents.accuser.config: 'model' is missing"),
+    ({"intervention": {"kind": "fullreset", "cap": 1}}, "asymmetric",
+     "intervention.kind: 'fullreset' is not one of"),
+    ({"monitor": {"source": "models", "paths": {"accuser": 3}}}, "asymmetric",
+     "monitor.paths.accuser: 3 is not a string"),
 ]
 
 
@@ -357,6 +401,20 @@ VALID = [entry[2] for entry in GOLDEN.values()] + [
     {"env": "commons", "monitor": {"source": "models", "paths": {"harvester": "h.json"}}},
     {"agents": {"intel": {"type": "rogue", "epsilon": 0.3, "broad_for_specific": False}}},
     {"intervention": {"kind": "resample", "cap": 0, "resample_temperature": 0.7}},
+    {
+        "variant": "symmetric",
+        "agents": {"player": {**ROGUE, "clean_band": [0.0, 0.3], "corrupt_band": [1.0, 2.3]}},
+    },
+    {
+        "agents": {
+            "accuser": {
+                "type": "llm",
+                "config": {**LLM_CONFIG, "temperature": 0.5, "top_logprobs": 5,
+                           "retry_budget": 1, "timeout": 5},
+            },
+            "intel": MIXED_ROGUE,
+        }
+    },
 ]
 
 
@@ -369,6 +427,16 @@ class TestConfigGate:
         with pytest.raises(ValueError, match=match):
             config = ExperimentConfig.from_json_obj(obj)
             run_experiment(config, MANIFESTS[manifest](), split="test", output_dir=tmp_path / "out")
+        assert not (tmp_path / "out").exists()
+
+    def test_monitor_file_missing_keys_refused_by_path(self, tmp_path):
+        path = tmp_path / "accuser.json"
+        path.write_text(json.dumps({"role": "accuser"}))
+        config = ExperimentConfig.from_json_obj(
+            {"monitor": {"source": "models", "paths": {"accuser": str(path)}}}
+        )
+        with pytest.raises(ValueError, match="^monitor.paths.accuser: 'feature_mask' is missing$"):
+            run_experiment(config, small_manifest(1, 1, 2), output_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("obj", VALID)
@@ -1140,7 +1208,7 @@ class TestCommonsLog:
             "--role", "harvester", "--out", str(out),
         ]
         assert cli_main(args) == 0
-        assert MonitorModel.from_json(out.read_text()).to_json() == model.to_json()
+        assert MonitorModel.from_json_obj(json.loads(out.read_text())).to_json() == model.to_json()
         assert "selected monitor for harvester" in capsys.readouterr().out
 
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 import random
 import subprocess
@@ -294,7 +295,7 @@ class TestSerialization:
         model = replace(
             fit_on(corpus, ("entropy", "kurtosis"), degree=3), tau=0.4, validation_gain=12.0
         )
-        restored = MonitorModel.from_json(model.to_json())
+        restored = MonitorModel.from_json_obj(json.loads(model.to_json()))
         assert restored == model
         rng = random.Random(11)
         for _ in range(500):
