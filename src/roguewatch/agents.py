@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import Optional, Sequence
 
-from .core import GameSpec, MessageKind, number, one_of, section
+from .core import GameSpec, MessageKind, number, one_of, pair, section
 from .whodunit import ROLE_ACCUSER, Action, KnowledgeSet, parse_rendered
 
 CLEAN_BAND = (0.0, 0.2)
@@ -314,11 +314,7 @@ class RogueProfile:
         # The rogue annotates each turn with a distribution over 10 candidates,
         # so a band's entropies lie in [0, ln 10].
         for name in ("clean_band", "corrupt_band"):
-            band = getattr(self, name)
-            if not isinstance(band, (list, tuple)) or len(band) != 2:
-                raise ValueError(f"{name}: {band!r} is not a pair [lo, hi]")
-            lo = number(f"{name}[0]", band[0], 0, CORRUPT_BAND[1])
-            object.__setattr__(self, name, (lo, number(f"{name}[1]", band[1], lo, CORRUPT_BAND[1])))
+            object.__setattr__(self, name, pair(name, getattr(self, name), 0, CORRUPT_BAND[1]))
         clean, corrupt = self.clean_band, self.corrupt_band
         if not clean[1] < corrupt[0]:
             raise ValueError(f"corrupt_band: {corrupt!r} is not above clean_band {clean!r}")

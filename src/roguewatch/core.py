@@ -121,6 +121,20 @@ def number(key: str, value: object, least: float = -math.inf, most: float = math
     return value
 
 
+def items(key: str, value: object, length: Optional[int] = None, noun: str = "a list") -> list:
+    """A list of ``length`` items, or of any length if None; else refused as not ``noun``."""
+    if not isinstance(value, (list, tuple)) or length is not None and len(value) != length:
+        raise ValueError(f"{key}: {value!r} is not {noun}")
+    return value
+
+
+def pair(key: str, value: object, least: float = -math.inf, most: float = math.inf) -> tuple:
+    """A pair [lo, hi] of finite numbers with least <= lo <= hi <= most."""
+    items(key, value, 2, "a pair [lo, hi]")
+    lo = number(f"{key}[0]", value[0], least, most)
+    return lo, number(f"{key}[1]", value[1], lo, most)
+
+
 def string(key: str, value: object) -> str:
     if type(value) is not str:
         raise ValueError(f"{key}: {value!r} is not a string")
@@ -432,15 +446,19 @@ class Trajectory:
         """Final cumulative dialog index (= number of recorded turns)."""
         return self.turns[-1].dialog_index if self.turns else 0
 
-    def to_jsonl(self) -> str:
-        lines = [jsonl_line(t.to_json_obj()) for t in self.turns]
+    def summary(self) -> dict:
+        """The summary line, the one record of the game's result; reports and
+        monitor labels read it."""
         summary = {"outcome": self.outcome.value if self.outcome else None, "length": self.length}
         if self.game is None:
             summary.update(self.totals)
         else:
             summary.update(accused=self.accused_id, game_seed=self.game.seed)
-        lines.append(jsonl_line(summary))
-        return "\n".join(lines) + "\n"
+        return summary
+
+    def to_jsonl(self) -> str:
+        lines = [jsonl_line(t.to_json_obj()) for t in self.turns]
+        return "\n".join([*lines, jsonl_line(self.summary())]) + "\n"
 
 
 def parse_trajectory_jsonl(text: str) -> list[dict]:

@@ -8,10 +8,12 @@ with scripted or synthetic backends reproduces byte-identical logs.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import logging
 import math
 import statistics
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -77,7 +79,6 @@ from .whodunit import (
     consume_turn,
     new_game,
     step,
-    whodunit_metrics,
 )
 
 logger = logging.getLogger("roguewatch.harness")
@@ -270,12 +271,17 @@ def _player(role: str, spec: object) -> Callable[[str, str, GameSpec, int], obje
 
 
 def _monitor_file(key: str, path: str) -> MonitorModel:
-    """The monitor in the file at ``path``, refused by ``key`` if unreadable or incomplete."""
+    """The monitor in the file at ``path``. A file that cannot be read or
+    parsed, or that lacks a key, is refused by ``key``; a bad value by
+    ``key`` followed by the value's own key."""
     try:
         obj = json.loads(Path(path).read_text())
     except OSError as exc:
         raise ValueError(f"{key}: {path!r} is not readable ({exc.strerror})") from None
-    return MonitorModel.from_json_obj(section(key, obj, None, MONITOR_FIELDS))
+    except ValueError as exc:
+        raise ValueError(f"{key}: {path!r} is not JSON ({exc})") from None
+    section(key, obj, None, MONITOR_FIELDS)
+    return _own_check(key, lambda: MonitorModel.from_json_obj(obj))
 
 
 def check_config(config: ExperimentConfig) -> None:
@@ -516,23 +522,25 @@ def run_commons_trial(
     return env.state, drive(env, config, game_seed, monitors)
 
 
-WHODUNIT_METRICS = ("success_rate", "precision", "avg_length")
-COMMONS_METRICS = ("survival_time", "survival_rate", "efficiency")
+def _succeeded(game: dict) -> bool:
+    """Whether a summary line's whodunit game succeeded or commons trial survived."""
+    return game["outcome"] in (Outcome.SUCCESS, Outcome.SURVIVED)
 
 
-def _repetition_metrics(env: str, trajectories: Sequence[Trajectory]) -> dict:
-    """Metrics of one repetition; all None when no game of it was valid."""
-    if not trajectories:
-        return dict.fromkeys(WHODUNIT_METRICS if env == "whodunit" else COMMONS_METRICS)
-    if env == "whodunit":
-        metrics = whodunit_metrics(trajectories)
-        return {name: getattr(metrics, name) for name in WHODUNIT_METRICS}
-    survived = sum(1 for t in trajectories if t.outcome is Outcome.SURVIVED)
-    return {
-        "survival_time": statistics.fmean(t.totals["survival_time"] for t in trajectories),
-        "survival_rate": 100.0 * survived / len(trajectories),
-        "efficiency": statistics.fmean(t.totals["efficiency"] for t in trajectories),
-    }
+# Each env's metrics, as the score of one game's summary line; a score of
+# None leaves the game out. A run reports each mean over the scored games.
+METRICS = {
+    "whodunit": {
+        "success_rate": lambda game: 100.0 * _succeeded(game),
+        "precision": lambda game: None if game["accused"] is None else 100.0 * _succeeded(game),
+        "avg_length": lambda game: game["length"],
+    },
+    "commons": {
+        "survival_time": lambda game: game["survival_time"],
+        "survival_rate": lambda game: 100.0 * _succeeded(game),
+        "efficiency": lambda game: game["efficiency"],
+    },
+}
 
 
 def _mean_stderr(values: Sequence[Optional[float]]) -> tuple[Optional[float], Optional[float]]:
@@ -545,6 +553,15 @@ def _mean_stderr(values: Sequence[Optional[float]]) -> tuple[Optional[float], Op
     return mean, statistics.stdev(present) / math.sqrt(len(present))
 
 
+def run_metrics(env: str, summaries: Sequence[dict]) -> dict:
+    """Each metric of ``env`` over games' summary lines, live or parsed from
+    a log; None for a metric that scores no game."""
+    return {
+        name: _mean_stderr([score(game) for game in summaries])[0]
+        for name, score in METRICS[env].items()
+    }
+
+
 def run_experiment(
     config: ExperimentConfig,
     manifest: SplitManifest,
@@ -554,13 +571,14 @@ def run_experiment(
 ) -> dict:
     """Run every game of a split ``repetitions`` times with derived seeds.
 
-    Returns the report dict; optionally writes trajectories.jsonl and
-    report.json under output_dir. A game that raises is logged, excluded
-    from metrics and counted as invalid; the other games still count. A
-    config that cannot run raises ValueError naming the key before any game
-    runs and before anything is written: whatever ``check_config`` refuses,
-    an env or variant other than the manifest's, a ``models`` monitor with
-    no ``paths`` and no ``monitors`` passed in, or an intervention with a
+    Returns the report dict. Under output_dir, each valid game is appended
+    to trajectories.jsonl as it finishes, in game order, and report.json is
+    written at the end. A game that raises is logged, excluded from metrics
+    and counted as invalid; the other games still count. A config that
+    cannot run raises ValueError naming the key before any game runs and
+    before anything is written: whatever ``check_config`` refuses, an env
+    or variant other than the manifest's, a ``models`` monitor with no
+    ``paths`` and no ``monitors`` passed in, or an intervention with a
     monitor that has no tau.
 
     Games run on ``parallelism`` threads only when some role is played by
@@ -589,44 +607,50 @@ def run_experiment(
             if model.tau is None:
                 raise ValueError(f"the {role!r} monitor has no tau to trigger on")
     threaded = config.parallelism > 1 and "llm" in {s.get("type") for s in config.agents.values()}
-    jsonl_chunks: list[str] = []
-    per_rep: list[dict] = []
-    histogram: dict[int, int] = {}
-    invalid = 0
+    reps = range(config.repetitions)
+    plays = [(rep, index, game) for rep in reps for index, game in enumerate(games)]
+    summaries: list[Optional[dict]] = []  # per play, None for an invalid game
+    histogram: Counter[int] = Counter()  # triggers fired, by turn index
 
-    for rep in range(config.repetitions):
-        def one(item: tuple[int, object]):
-            index, game = item
-            seed = derive_seed(config.base_seed, split, index, "rep", rep)
-            try:
-                if config.env == "whodunit":
-                    return run_whodunit_game(game, config, seed, monitors=monitors)
-                return run_commons_trial(game, config, seed, monitors=monitors)[1]
-            except ApiError as exc:
-                logger.warning("game %s aborted: %s", index, exc)
-                return None
-            except Exception as exc:
-                logger.warning(
-                    "game %s failed with %s: %s", index, type(exc).__name__, exc, exc_info=True
-                )
-                return None
+    def one(play: tuple[int, int, object]) -> Optional[Trajectory]:
+        rep, index, game = play
+        seed = derive_seed(config.base_seed, split, index, "rep", rep)
+        try:
+            if config.env == "whodunit":
+                return run_whodunit_game(game, config, seed, monitors=monitors)
+            return run_commons_trial(game, config, seed, monitors=monitors)[1]
+        except ApiError as exc:
+            logger.warning("game %s aborted: %s", index, exc)
+        except Exception as exc:
+            logger.warning(
+                "game %s failed with %s: %s", index, type(exc).__name__, exc, exc_info=True
+            )
+        return None
 
-        items = list(enumerate(games))
+    with contextlib.ExitStack() as stack:
+        if output_dir is not None:
+            output_dir = Path(output_dir)
+            output_dir.mkdir(parents=True, exist_ok=True)
+            log = stack.enter_context((output_dir / "trajectories.jsonl").open("w"))
+        results = map(one, plays)
         if threaded:
-            with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-                results = list(pool.map(one, items))
-        else:
-            results = [one(item) for item in items]
+            pool = stack.enter_context(ThreadPoolExecutor(max_workers=config.parallelism))
+            results = pool.map(one, plays)
+        for trajectory in results:
+            if trajectory is None:
+                summaries.append(None)
+                continue
+            if output_dir is not None:
+                log.write(trajectory.to_jsonl())
+                log.flush()  # a finished game survives a crash of the run
+            summaries.append(trajectory.summary())
+            histogram.update(turn.turn_index for turn in trajectory.turns if turn.trigger_fired)
 
-        trajectories = [r for r in results if r is not None]
-        invalid += len(results) - len(trajectories)
-        per_rep.append(_repetition_metrics(config.env, trajectories))
-        for trajectory in trajectories:
-            jsonl_chunks.append(trajectory.to_jsonl())
-            for turn in trajectory.turns:
-                if turn.trigger_fired:
-                    histogram[turn.turn_index] = histogram.get(turn.turn_index, 0) + 1
-
+    n = len(games)
+    per_rep = [
+        run_metrics(config.env, [s for s in summaries[k * n : (k + 1) * n] if s is not None])
+        for k in reps
+    ]
     mean, stderr = {}, {}
     for name in per_rep[0]:  # check_config makes repetitions at least 1
         mean[name], stderr[name] = _mean_stderr([rep[name] for rep in per_rep])
@@ -638,16 +662,13 @@ def run_experiment(
         "config": config.to_json_obj(),
         "split": split,
         "games": len(games),
-        "invalid": invalid,
+        "invalid": summaries.count(None),
         "repetitions": per_rep,
         "mean": mean,
         "stderr": stderr,
         "trigger_histogram": {str(k): v for k, v in sorted(histogram.items())},
     }
     if output_dir is not None:
-        output_dir = Path(output_dir)
-        output_dir.mkdir(parents=True, exist_ok=True)
-        (output_dir / "trajectories.jsonl").write_text("".join(jsonl_chunks))
         (output_dir / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
     return report
 
@@ -662,7 +683,7 @@ def records_from_games(games: Sequence[dict], role: str) -> list[GameRecord]:
     for index, game in enumerate(games):
         if any(t.get("intervention") for t in game["turns"]):
             continue
-        label = game["outcome"] in (Outcome.SUCCESS, Outcome.SURVIVED)
+        label = _succeeded(game)
         features = tuple(
             FeatureVector.from_json_obj(t["features"])
             for t in game["turns"]
@@ -710,7 +731,7 @@ def summarize(reports: Sequence[dict]) -> tuple[str, str]:
     if len(kinds) > 1:
         raise ValueError(f"refusing to mix environment kinds: {sorted(kinds)}")
     env = reports[0]["env"]
-    columns = WHODUNIT_METRICS if env == "whodunit" else COMMONS_METRICS
+    columns = METRICS[env]
 
     header = ["run", "games", "invalid"] + [f"{c} (mean±se)" for c in columns]
     if env == "commons":

@@ -30,6 +30,7 @@ import math
 import os
 import re
 import urllib.error
+import urllib.parse
 from dataclasses import dataclass, fields
 from typing import Callable, Optional, Sequence
 
@@ -66,7 +67,19 @@ class LlmConfig:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "LlmConfig":
-        return cls(**section("config", obj, {f.name for f in fields(cls)}, ("endpoint", "model")))
+        """A backend's config, whose endpoint must be an http(s) URL with a
+        host; one built in code may hold a placeholder it sends nothing to."""
+        config = cls(**section("config", obj, {f.name for f in fields(cls)}, ("endpoint", "model")))
+        try:
+            url = urllib.parse.urlsplit(config.endpoint)
+            url.port  # raises for a port that is not a number below 65536
+        except ValueError:
+            url = None
+        if not (url and url.scheme in ("http", "https") and url.hostname):
+            raise ValueError(
+                f"config.endpoint: {config.endpoint!r} is not an http(s) URL with a host"
+            )
+        return config
 
 
 @functools.lru_cache(maxsize=8)
@@ -91,7 +104,6 @@ def _connect(config: LlmConfig) -> tuple[object, str, dict]:
     # http.client (with email and ssl) and urllib.request load on the first request.
     import base64
     import http.client
-    import urllib.parse
 
     url = urllib.parse.urlsplit(config.endpoint)
     https = url.scheme == "https"

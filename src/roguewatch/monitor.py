@@ -30,6 +30,7 @@ import random
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Callable, Optional, Sequence
 
+from .core import integer, items, number, one_of, pair, string
 from .errors import InsufficientDataError, SingularSystemError
 from .uncertainty import FeatureVector
 
@@ -157,14 +158,26 @@ class MonitorModel:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "MonitorModel":
+        """A monitor from a file's object, each value read by its key: a mask
+        of distinct statistics, a degree in ``DEGREES``, one normalization
+        pair [lo, hi] per input and one finite weight per monomial."""
+        names = items("feature_mask", obj["feature_mask"])
+        mask = tuple(one_of("feature_mask", name, STATISTIC_NAMES) for name in names)
+        if not mask or len(set(mask)) < len(mask):
+            raise ValueError(f"feature_mask: {names!r} is not a non-empty list of distinct names")
+        degree = one_of("degree", integer("degree", obj["degree"]), DEGREES)
+        inputs, terms = len(mask) + 1, len(_monomials(len(mask) + 1, degree))
+        bounds = items("normalization", obj["normalization"], inputs, f"a list of {inputs} pairs")
+        weights = items("weights", obj["weights"], terms, f"a list of {terms} numbers")
+        optional = lambda key: None if obj[key] is None else number(key, obj[key])
         return cls(
-            role=obj["role"],
-            feature_mask=tuple(obj["feature_mask"]),
-            degree=obj["degree"],
-            normalization=tuple(tuple(pair) for pair in obj["normalization"]),
-            weights=tuple(obj["weights"]),
-            tau=obj["tau"],
-            validation_gain=obj["validation_gain"],
+            role=string("role", obj["role"]),
+            feature_mask=mask,
+            degree=degree,
+            normalization=tuple(pair(f"normalization[{i}]", p) for i, p in enumerate(bounds)),
+            weights=tuple(number(f"weights[{i}]", w) for i, w in enumerate(weights)),
+            tau=optional("tau"),
+            validation_gain=optional("validation_gain"),
         )
 
     def to_json(self) -> str:

@@ -1,6 +1,6 @@
 """Both WhoDunit variants: one ``Action`` type, the table of message kinds
-each role may send, one validate rule per kind, knowledge distribution,
-termination, and the game metrics.
+each role may send, one validate rule per kind, knowledge distribution
+and termination.
 
 The rendered messages are a wire format. Each message also keeps the
 fields it was rendered from, and the channel hands those to agents as its
@@ -16,7 +16,7 @@ import functools
 import random
 import re
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import (
     CommunicationChannel,
@@ -351,32 +351,3 @@ def _advance(state: WhodunitState) -> None:
     state.next_index = (state.next_index + 1) % len(state.order)
     if state.outcome is None and played >= state.spec.turn_limit:
         state.outcome = Outcome.TIMEOUT
-
-
-@dataclass(frozen=True)
-class WhodunitMetrics:
-    success_rate: float
-    precision: Optional[float]
-    avg_length: float
-    games: int
-
-
-def whodunit_metrics(trajectories: Sequence) -> WhodunitMetrics:
-    """Success-Rate and Precision in percent, plus mean cumulative length.
-
-    Precision restricts to games that ended with an accusation and is None
-    when no game did.
-    """
-    if not trajectories:
-        raise ValueError("no trajectories")
-    total = len(trajectories)
-    successes = sum(1 for t in trajectories if t.outcome is Outcome.SUCCESS)
-    accused = sum(1 for t in trajectories if t.accused_id is not None)
-    avg_length = sum(t.length for t in trajectories) / total
-    precision = 100.0 * successes / accused if accused else None
-    return WhodunitMetrics(
-        success_rate=100.0 * successes / total,
-        precision=precision,
-        avg_length=avg_length,
-        games=total,
-    )

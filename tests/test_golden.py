@@ -23,6 +23,7 @@ from roguewatch.harness import (
     gen_dataset,
     records_from_games,
     run_experiment,
+    run_metrics,
 )
 from roguewatch.monitor import grid_search_ranked
 
@@ -136,6 +137,22 @@ def digests(name: str, out_dir) -> tuple[str, str]:
 def test_golden_replay(name, tmp_path):
     *_, trajectories_sha, report_sha = GOLDEN[name]
     assert digests(name, tmp_path) == (trajectories_sha, report_sha)
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_metrics_recount_from_the_log(name, tmp_path):
+    """Each repetition's metrics are those of the summary lines of its games,
+    recounted from the written log to the same bits."""
+    manifest_factory, split, config_obj, _, _ = GOLDEN[name]
+    config = ExperimentConfig.from_json_obj(config_obj)
+    manifest = manifest_factory()
+    run_experiment(config, manifest, split=split, output_dir=tmp_path)
+    report = json.loads((tmp_path / "report.json").read_text())
+    games = parse_trajectory_jsonl((tmp_path / "trajectories.jsonl").read_text())
+    n = len(manifest.split(split))
+    assert report["invalid"] == 0 and len(games) == n * config.repetitions
+    for k, metrics in enumerate(report["repetitions"]):
+        assert run_metrics(config.env, games[k * n : (k + 1) * n]) == metrics
 
 
 # sha256 of the concatenated ``to_json()`` of all 35 ranked monitors. The

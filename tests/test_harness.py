@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import re
 import statistics
 import threading
@@ -373,6 +374,55 @@ REFUSED = [
      "intervention.kind: 'fullreset' is not one of"),
     ({"monitor": {"source": "models", "paths": {"accuser": 3}}}, "asymmetric",
      "monitor.paths.accuser: 3 is not a string"),
+    # An llm endpoint is an http(s) URL with a host and a valid port.
+    ({"agents": {"accuser": {"type": "llm", "config": {**LLM_CONFIG, "endpoint": "x"}}}},
+     "asymmetric", r"agents.accuser.config.endpoint: 'x' is not an http\(s\) URL with a host"),
+    ({"agents": {"accuser": {"type": "llm", "config": {**LLM_CONFIG, "endpoint": "ftp://h/v1"}}}},
+     "asymmetric", "agents.accuser.config.endpoint: 'ftp://h/v1' is not an http"),
+    ({"agents": {"accuser": {"type": "llm", "config": {**LLM_CONFIG, "endpoint": "http:///v1"}}}},
+     "asymmetric", "agents.accuser.config.endpoint: 'http:///v1' is not an http"),
+    ({"agents": {"accuser": {"type": "llm",
+                             "config": {**LLM_CONFIG, "endpoint": "http://h:99999/v1"}}}},
+     "asymmetric", "agents.accuser.config.endpoint: 'http://h:99999/v1' is not an http"),
+]
+
+
+# A monitor file as train-monitor writes one: degree-1 entropy, so 2 inputs
+# (entropy, turn index) and 3 weights.
+MONITOR_FILE = {
+    "role": "accuser",
+    "feature_mask": ["entropy"],
+    "degree": 1,
+    "normalization": [[0.0, 2.3], [1.0, 31.0]],
+    "weights": [0.5, -0.4, 0.1],
+    "tau": 0.3,
+    "validation_gain": 12.0,
+}
+
+# Monitor file values refused by key: (changed values, the refusal after
+# "monitor.paths.accuser.").
+REFUSED_MONITOR_FILES = [
+    ({"weights": "x"}, "weights: 'x' is not a list of 3 numbers"),
+    ({"weights": [0.5]}, "weights: [0.5] is not a list of 3 numbers"),
+    ({"weights": [0.5, "x", 0.1]}, "weights[1]: 'x' is not a finite number"),
+    ({"weights": [0.5, math.nan, 0.1]}, "weights[1]: nan is not a finite number"),
+    ({"degree": 2}, "weights: [0.5, -0.4, 0.1] is not a list of 6 numbers"),
+    ({"feature_mask": ["entropi"]},
+     "feature_mask: 'entropi' is not one of ['entropy', 'kurtosis', 'varentropy']"),
+    ({"feature_mask": "entropy"}, "feature_mask: 'entropy' is not a list"),
+    ({"feature_mask": []}, "feature_mask: [] is not a non-empty list of distinct names"),
+    ({"feature_mask": ["entropy", "entropy"]},
+     "feature_mask: ['entropy', 'entropy'] is not a non-empty list of distinct names"),
+    ({"degree": 6}, "degree: 6 is not one of [1, 2, 3, 4, 5]"),
+    ({"degree": True}, "degree: True is not an integer"),
+    ({"normalization": [[0.0, 2.3]]}, "normalization: [[0.0, 2.3]] is not a list of 2 pairs"),
+    ({"normalization": [[0.0, 2.3], [1.0]]}, "normalization[1]: [1.0] is not a pair [lo, hi]"),
+    ({"normalization": [[0.0, 2.3], [31.0, 1.0]]}, "normalization[1][1]: 1.0 is below 31.0"),
+    ({"normalization": [[0.0, math.inf], [1.0, 31.0]]},
+     "normalization[0][1]: inf is not a finite number"),
+    ({"tau": "x"}, "tau: 'x' is not a finite number"),
+    ({"validation_gain": [1]}, "validation_gain: [1] is not a finite number"),
+    ({"role": 3}, "role: 3 is not a string"),
 ]
 
 
@@ -438,6 +488,38 @@ class TestConfigGate:
         with pytest.raises(ValueError, match="^monitor.paths.accuser: 'feature_mask' is missing$"):
             run_experiment(config, small_manifest(1, 1, 2), output_dir=tmp_path / "out")
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def monitor_file_run(tmp_path, monitor_obj) -> dict:
+        path = tmp_path / "accuser.json"
+        path.write_text(json.dumps(monitor_obj))
+        config = ExperimentConfig.from_json_obj({
+            "agents": {"accuser": ROGUE},
+            "monitor": {"source": "models", "paths": {"accuser": str(path)}},
+            "intervention": {"kind": "full-reset", "cap": 1},
+        })
+        return run_experiment(config, small_manifest(1, 1, 2), output_dir=tmp_path / "out")
+
+    @pytest.mark.parametrize("change,refusal", REFUSED_MONITOR_FILES)
+    def test_monitor_file_values_refused_by_path(self, change, refusal, tmp_path):
+        with pytest.raises(ValueError) as refused:
+            self.monitor_file_run(tmp_path, {**MONITOR_FILE, **change})
+        assert str(refused.value) == f"monitor.paths.accuser.{refusal}"
+        assert not (tmp_path / "out").exists()
+
+    def test_monitor_file_that_is_not_json_refused_by_path(self, tmp_path):
+        (tmp_path / "accuser.json").write_text("{")
+        config = ExperimentConfig.from_json_obj(
+            {"monitor": {"source": "models", "paths": {"accuser": str(tmp_path / "accuser.json")}}}
+        )
+        with pytest.raises(ValueError, match="^monitor.paths.accuser: '.*' is not JSON"):
+            run_experiment(config, small_manifest(1, 1, 2), output_dir=tmp_path / "out")
+
+    def test_a_valid_monitor_file_plays(self, tmp_path):
+        report = self.monitor_file_run(tmp_path, MONITOR_FILE)
+        assert report["invalid"] == 0
+        model = MonitorModel.from_json_obj(MONITOR_FILE)
+        assert model.to_json_obj() == MONITOR_FILE
 
     @pytest.mark.parametrize("obj", VALID)
     def test_valid_configs_pass(self, obj):
@@ -650,7 +732,7 @@ class TestZeroValidGames:
             output_dir=tmp_path,
         )
         assert report["invalid"] == 2 * report["games"] == 14
-        assert report["repetitions"] == [dict.fromkeys(harness.COMMONS_METRICS)] * 2
+        assert report["repetitions"] == [dict.fromkeys(harness.METRICS["commons"])] * 2
         assert set(report["mean"].values()) == {None}
         assert (tmp_path / "report.json").exists()
 
@@ -710,6 +792,33 @@ class TestDegrade:
         assert sorted(report) == sorted(
             json.loads((tmp_path / "clean" / "report.json").read_text())
         )
+
+
+class TestStreamedLog:
+    """The log is written game by game, so an interrupted run keeps its
+    finished games."""
+
+    def test_an_interrupt_keeps_the_finished_games(self, tmp_path, monkeypatch):
+        manifest = small_manifest(0, 0, 6)
+        config = scripted_config(agents={"accuser": ROGUE})
+        run_experiment(config, manifest, output_dir=tmp_path / "full")
+        play = harness.run_whodunit_game
+
+        def interrupted(spec, config, game_seed, monitors=None):
+            if spec is manifest.test[4]:
+                raise KeyboardInterrupt
+            return play(spec, config, game_seed, monitors=monitors)
+
+        monkeypatch.setattr(harness, "run_whodunit_game", interrupted)
+        with pytest.raises(KeyboardInterrupt):
+            run_experiment(config, manifest, output_dir=tmp_path / "cut")
+        full = (tmp_path / "full" / "trajectories.jsonl").read_text().splitlines(keepends=True)
+        ends = [i + 1 for i, line in enumerate(full) if '"outcome"' in line]
+        assert len(ends) == 6
+        cut = (tmp_path / "cut" / "trajectories.jsonl").read_text()
+        assert cut == "".join(full[: ends[3]])
+        assert len(parse_trajectory_jsonl(cut)) == 4
+        assert not (tmp_path / "cut" / "report.json").exists()
 
 
 class TestWorkerPool:

@@ -17,6 +17,7 @@ from roguewatch.core import (
     generate_game,
 )
 from roguewatch.errors import IllegalActionError, InfeasibleRequestError
+from roguewatch.harness import run_metrics
 from roguewatch.whodunit import (
     ROLE_ACCUSER,
     ROLE_INTEL,
@@ -29,7 +30,6 @@ from roguewatch.whodunit import (
     parse_rendered,
     render,
     step,
-    whodunit_metrics,
 )
 
 
@@ -359,9 +359,9 @@ class TestMetrics:
         trajs = [
             self.fake_traj(spec, Outcome.SUCCESS, spec.culprit_id, 5) for _ in range(108)
         ] + [self.fake_traj(spec, Outcome.WRONG_ACCUSATION, 1, 5) for _ in range(72)]
-        m = whodunit_metrics(trajs)
-        assert m.success_rate == pytest.approx(60.0)
-        assert m.precision == pytest.approx(60.0)
+        m = run_metrics("whodunit", [t.summary() for t in trajs])
+        assert m["success_rate"] == pytest.approx(60.0)
+        assert m["precision"] == pytest.approx(60.0)
 
     def test_mixed_outcomes_hand_count(self):
         spec = tiny_spec()
@@ -371,14 +371,14 @@ class TestMetrics:
             self.fake_traj(spec, Outcome.WRONG_ACCUSATION, 1, 7),
             self.fake_traj(spec, Outcome.TIMEOUT, None, 31),
         ]
-        m = whodunit_metrics(trajs)
-        assert m.success_rate == pytest.approx(50.0)
-        assert m.precision == pytest.approx(100.0 * 2 / 3)
-        assert m.avg_length == pytest.approx((3 + 5 + 7 + 31) / 4)
+        m = run_metrics("whodunit", [t.summary() for t in trajs])
+        assert m["success_rate"] == pytest.approx(50.0)
+        assert m["precision"] == pytest.approx(100.0 * 2 / 3)
+        assert m["avg_length"] == pytest.approx((3 + 5 + 7 + 31) / 4)
 
     def test_precision_absent_without_accusations(self):
         spec = tiny_spec()
         trajs = [self.fake_traj(spec, Outcome.TIMEOUT, None, 31) for _ in range(3)]
-        m = whodunit_metrics(trajs)
-        assert m.success_rate == 0.0
-        assert m.precision is None
+        m = run_metrics("whodunit", [t.summary() for t in trajs])
+        assert m["success_rate"] == 0.0
+        assert m["precision"] is None
