@@ -270,10 +270,11 @@ def _player(role: str, spec: object) -> Callable[[str, str, GameSpec, int], obje
     return lambda agent_id, partners, game, game_seed: LlmAgent(client, role, agent_id, partners)
 
 
-def _monitor_file(key: str, path: str) -> MonitorModel:
-    """The monitor in the file at ``path``. A file that cannot be read or
-    parsed, or that lacks a key, is refused by ``key``; a bad value by
-    ``key`` followed by the value's own key."""
+def _monitor_file(role: str, path: str, triggers: bool) -> MonitorModel:
+    """The ``role`` monitor in the file at ``path``, refused by key path when
+    the file cannot be read or parsed, lacks a key, holds a bad value, names
+    another role, or has no tau though ``triggers``."""
+    key = f"monitor.paths.{role}"
     try:
         obj = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -281,7 +282,12 @@ def _monitor_file(key: str, path: str) -> MonitorModel:
     except ValueError as exc:
         raise ValueError(f"{key}: {path!r} is not JSON ({exc})") from None
     section(key, obj, None, MONITOR_FIELDS)
-    return _own_check(key, lambda: MonitorModel.from_json_obj(obj))
+    model = _own_check(key, lambda: MonitorModel.from_json_obj(obj))
+    if model.role != role:
+        raise ValueError(f"{key}.role: {model.role!r} is not {role!r}")
+    if triggers:
+        _own_check(key, lambda: number("tau", model.tau))
+    return model
 
 
 def check_config(config: ExperimentConfig) -> None:
@@ -578,8 +584,8 @@ def run_experiment(
     cannot run raises ValueError naming the key before any game runs and
     before anything is written: whatever ``check_config`` refuses, an env
     or variant other than the manifest's, a ``models`` monitor with no
-    ``paths`` and no ``monitors`` passed in, or an intervention with a
-    monitor that has no tau.
+    ``paths`` and no ``monitors`` passed in, a monitor file of another
+    role, or an intervention with a monitor that has no tau.
 
     Games run on ``parallelism`` threads only when some role is played by
     an ``llm`` backend, whose games wait on the network. Every other
@@ -595,14 +601,15 @@ def run_experiment(
     others = sorted({spec.variant.value for spec in games if config.env == "whodunit"} - {variant})
     if others:
         raise ValueError(f"config variant {variant!r} differs from the manifest's {others[0]!r}")
+    triggers = config.intervention.kind is not InterventionKind.NONE
     if config.monitor.get("source") == "models" and monitors is None:
         if "paths" not in config.monitor:
             raise ValueError("monitor.paths: a models monitor needs paths or monitors passed in")
         monitors = {
-            role: _monitor_file(f"monitor.paths.{role}", path)
+            role: _monitor_file(role, path, triggers)
             for role, path in config.monitor["paths"].items()
         }
-    if config.intervention.kind is not InterventionKind.NONE:
+    if triggers:
         for role, model in (monitors or {}).items():
             if model.tau is None:
                 raise ValueError(f"the {role!r} monitor has no tau to trigger on")

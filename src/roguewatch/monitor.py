@@ -8,11 +8,12 @@ intercept against the 0/1 game-success labels. The trigger threshold tau
 and the (feature subset, degree) cell are selected by exhaustive search on
 validation gain. The turn count is always part of the input.
 
-A grid search expands each split once, over every statistic at the top
-degree; each cell's normal equations and validation design are slices of
-that. Products, sums and the solve are elementwise numpy, with no BLAS or
-LAPACK call, so a fitted monitor's bytes do not depend on the BLAS thread
-count.
+Fitting, the tau search and live play compute a turn's output in one routine
+(``_scaled``, then ``_terms``), so the tau and gain train-monitor reports
+come from the scores a run triggers on. A grid search expands the training
+split once, over every statistic at the top degree, and fits each cell from a
+slice. Products, sums and the solve are elementwise numpy with no BLAS or
+LAPACK call, so the BLAS thread count cannot change a fitted monitor's bytes.
 
 Only fitting and the grid search import numpy, each inside its function.
 Loading and scoring a monitor stay pure Python, so a command that never
@@ -28,7 +29,7 @@ import math
 import operator
 import random
 from dataclasses import dataclass, replace
-from typing import TYPE_CHECKING, Callable, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Optional, Sequence
 
 from .core import integer, items, number, one_of, pair, string
 from .errors import InsufficientDataError, SingularSystemError
@@ -80,26 +81,42 @@ def _monomials(n_inputs: int, degree: int) -> tuple[tuple[int, ...], ...]:
     return tuple(terms)
 
 
+def _scaled(inputs: Sequence, bounds: Sequence[tuple[float, float]]) -> list:
+    """Each input, a float or a numpy column, min-max scaled to [-1, 1] by its
+    (lo, hi) bounds; equal bounds give 0.0, and values outside extrapolate."""
+    pairs = zip(inputs, bounds)
+    return [0.0 if hi == lo else -1.0 + 2.0 * (x - lo) / (hi - lo) for x, (lo, hi) in pairs]
+
+
+def _terms(scaled: Sequence, degree: int, leads: Iterable) -> Iterator:
+    """Each monomial of ``scaled`` up to ``degree``, in ``_monomials`` order, as its
+    lead times its factors, left to right: its weight for a score, 1.0 for a design column."""
+    for lead, term in zip(leads, _monomials(len(scaled), degree)):
+        for index in term:
+            lead = lead * scaled[index]
+        yield lead
+
+
+def _output(scaled: Sequence, weights: Sequence[float], degree: int) -> float | np.ndarray:
+    """The unclamped ridge output: the weighted monomials summed left to right."""
+    total = 0.0
+    for term in _terms(scaled, degree, weights):
+        total += term
+    return total
+
+
 def design_matrix(
     raw: np.ndarray, bounds: Sequence[tuple[float, float]], degree: int
 ) -> np.ndarray:
-    """Min-max scale each column of ``raw`` to [-1, 1] by its (lo, hi)
-    bounds (a constant column scales to 0; values outside the bounds
-    extrapolate) and expand the rows into every monomial up to ``degree``,
-    in ``_monomials`` order. The result is column-major: each monomial's
-    column is contiguous, and ``.T`` holds them as rows without a copy."""
+    """Each monomial up to ``degree`` of the columns of ``raw`` scaled by
+    ``bounds``. The result is column-major: each monomial's column is
+    contiguous, and ``.T`` holds them as rows without a copy."""
     import numpy as np
 
-    lows, highs = np.array(bounds, dtype=float).T
-    spans = highs - lows
-    scaled = -1.0 + 2.0 * (raw - lows) / np.where(spans == 0.0, 1.0, spans)
-    scaled[:, spans == 0.0] = 0.0
-    scaled = np.ascontiguousarray(scaled.T)
-    terms = _monomials(raw.shape[1], degree)
-    columns = np.ones((len(terms), raw.shape[0]))
-    for j, term in enumerate(terms):
-        for index in term:
-            columns[j] *= scaled[index]
+    scaled = _scaled(raw.T, bounds)
+    columns = np.empty((len(_monomials(len(scaled), degree)), len(raw)))
+    for column, term in zip(columns, _terms(scaled, degree, itertools.repeat(1.0))):
+        column[...] = term
     return columns.T
 
 
@@ -126,21 +143,9 @@ class MonitorModel:
     validation_gain: Optional[float] = None
 
     def linear_output(self, features: FeatureVector) -> float:
-        """Unclamped ridge output; predict_success clamps this to [0, 1].
-        The scalar form of ``design_matrix`` for one turn: the game loop
-        scores turns one at a time, where a one-row numpy design costs
-        several times more."""
-        scaled = [
-            0.0 if hi == lo else -1.0 + 2.0 * (x - lo) / (hi - lo)
-            for x, (lo, hi) in zip(_inputs(self.feature_mask)(features), self.normalization)
-        ]
-        total = 0.0
-        for weight, term in zip(self.weights, _monomials(len(scaled), self.degree)):
-            value = weight
-            for index in term:
-                value *= scaled[index]
-            total += value
-        return total
+        """Unclamped ridge output; predict_success clamps this to [0, 1]."""
+        scaled = _scaled(_inputs(self.feature_mask)(features), self.normalization)
+        return _output(scaled, self.weights, self.degree)
 
     def predict_success(self, features: FeatureVector) -> float:
         return min(1.0, max(0.0, self.linear_output(features)))
@@ -184,7 +189,7 @@ class MonitorModel:
         return json.dumps(self.to_json_obj(), sort_keys=True)
 
 
-# The inputs and degree of the one design a grid search builds per split.
+# The inputs and degree of the training design a grid search builds.
 FULL_MASK = STATISTIC_NAMES
 TOP_DEGREE = DEGREES[-1]
 
@@ -301,15 +306,11 @@ def fit_monitor(
     )
 
 
-def _best_threshold(
-    model: MonitorModel,
-    design: np.ndarray,
-    validation: Sequence[GameRecord],
-    taus: Sequence[float],
-) -> MonitorModel:
-    """Attach the gain-maximizing tau (the first best in ``taus`` wins, so
-    the lowest tau of a sorted grid wins ties). ``design`` is the model's
-    design over the turns of ``validation``, in game order.
+def _best_tau(
+    scores: np.ndarray, validation: Sequence[GameRecord], taus: Sequence[float]
+) -> tuple[float, float]:
+    """The gain-maximizing tau in ``taus`` (the first best wins ties) and its
+    gain, from one score per monitored turn of ``validation`` in game order.
 
     A game triggers when any of its monitored turns scores below tau. The
     gain is the net correctly-vs-falsely triggered game percentage: a
@@ -318,7 +319,6 @@ def _best_threshold(
     """
     import numpy as np
 
-    scores = np.clip((design * np.array(model.weights)).sum(axis=1), 0.0, 1.0)
     counts = np.array([len(game.features) for game in validation])
     played = counts > 0
     minima = np.full(len(validation), math.inf)
@@ -326,7 +326,19 @@ def _best_threshold(
     signs = np.array([-1 if game.label else 1 for game in validation])
     net = ((minima < np.array(taus)[:, None]) * signs).sum(axis=1)
     best = int(np.argmax(net))
-    return replace(model, tau=taus[best], validation_gain=100.0 * int(net[best]) / len(validation))
+    return taus[best], 100.0 * int(net[best]) / len(validation)
+
+
+def _best_threshold(
+    model: MonitorModel, scaled: list, validation: Sequence[GameRecord], taus: Sequence[float]
+) -> MonitorModel:
+    """``model`` with the ``_best_tau`` of the live scores from its ``_scaled`` inputs."""
+    import numpy as np
+
+    turns = sum(len(game.features) for game in validation)  # constant inputs give one float
+    output = np.broadcast_to(_output(scaled, model.weights, model.degree), turns)
+    tau, gain = _best_tau(np.clip(output, 0.0, 1.0), validation, taus)
+    return replace(model, tau=tau, validation_gain=gain)
 
 
 def grid_search_ranked(
@@ -339,32 +351,20 @@ def grid_search_ranked(
     validation gain. Ties break toward lower degree, fewer features, lower
     tau, and finally the fixed mask order, so the ranking is deterministic.
 
-    One raw table and one design per split serve all 35 cells: each cell
-    fits from a slice of the training system and scores the validation
-    turns with a column slice of the validation design.
+    Each split is read into one raw table: the training one is expanded
+    once and the validation one scaled once, and every cell slices both.
     """
     if not any(game.features for game in train) or not validation:
         raise InsufficientDataError("need non-empty train and validation sets")
     system = NormalSystem.from_games(train)
-    validation_design = design_matrix(
-        _raw_table(validation, FULL_MASK), system.normalization, TOP_DEGREE
-    )
+    scaled = _scaled(_raw_table(validation, FULL_MASK).T, system.normalization)
     candidates: list[MonitorModel] = []
     for degree in DEGREES:
         for mask in all_feature_masks():
             model = fit_monitor(system, mask, degree, alpha=alpha, role=role)
-            cell_design = validation_design[:, _columns(mask, degree)]
-            candidates.append(_best_threshold(model, cell_design, validation, DEFAULT_TAUS))
-    order = {mask: i for i, mask in enumerate(all_feature_masks())}
-    candidates.sort(
-        key=lambda m: (
-            -m.validation_gain,
-            m.degree,
-            len(m.feature_mask),
-            m.tau,
-            order[m.feature_mask],
-        )
-    )
+            cell = [scaled[i] for i in _input_indices(mask)]
+            candidates.append(_best_threshold(model, cell, validation, DEFAULT_TAUS))
+    candidates.sort(key=lambda m: (-m.validation_gain, m.degree, len(m.feature_mask), m.tau))
     return candidates
 
 

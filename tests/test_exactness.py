@@ -25,9 +25,11 @@ from roguewatch.monitor import (
     _best_threshold,
     _columns,
     _raw_table,
+    _scaled,
     all_feature_masks,
     design_matrix,
     fit_monitor,
+    grid_search_ranked,
 )
 from roguewatch.uncertainty import (
     DEGENERATE_VARENTROPY,
@@ -215,9 +217,9 @@ def monitor_cells():
     return models
 
 
-def cell_design(model, games) -> np.ndarray:
-    """A model's own design over the turns of ``games``."""
-    return design_matrix(_raw_table(games, model.feature_mask), model.normalization, model.degree)
+def cell_scaled(model, games) -> list:
+    """A model's own scaled inputs over the turns of ``games``."""
+    return _scaled(_raw_table(games, model.feature_mask).T, model.normalization)
 
 
 def test_batch_tau_search_matches_scalar_sweep():
@@ -238,10 +240,41 @@ def test_batch_tau_search_matches_scalar_sweep():
             for taus in grids:
                 gains = reference_gains(model, games, taus)
                 best = gains.index(max(gains))
-                chosen = _best_threshold(model, cell_design(model, games), games, taus)
+                chosen = _best_threshold(model, cell_scaled(model, games), games, taus)
                 assert (chosen.tau, chosen.validation_gain) == (taus[best], gains[best])
                 ties += gains.count(gains[best]) > 1
     assert ties
+
+
+def test_tau_search_scores_are_the_live_scores(monkeypatch):
+    from roguewatch import monitor
+
+    searched = []  # the scores each tau search hands to ``_best_tau``, in call order
+    best_tau = monitor._best_tau
+
+    def recorded(scores, validation, taus):
+        searched.append(scores)
+        return best_tau(scores, validation, taus)
+
+    monkeypatch.setattr(monitor, "_best_tau", recorded)
+    validation = seeded_games(random.Random(44), 80)
+
+    def check(model, scores, chosen):
+        live = [model.predict_success(fv) for game in validation for fv in game.features]
+        assert scores.tolist() == live
+        assert best_tau(live, validation, DEFAULT_TAUS) == (chosen.tau, chosen.validation_gain)
+
+    for model in monitor_cells():
+        chosen = _best_threshold(model, cell_scaled(model, validation), validation, DEFAULT_TAUS)
+        check(model, searched.pop(), chosen)
+    # The grid scales the validation split once and scores every cell from it.
+    train = seeded_games(random.Random(41), 60)
+    ranked = {(m.feature_mask, m.degree): m for m in grid_search_ranked(train, validation)}
+    system = NormalSystem.from_games(train)
+    cells = [(mask, degree) for degree in DEGREES for mask in all_feature_masks()]
+    assert len(searched) == len(cells) == len(ranked)
+    for (mask, degree), scores in zip(cells, searched):
+        check(fit_monitor(system, mask, degree), scores, ranked[mask, degree])
 
 
 def test_design_matrix_matches_linear_output():

@@ -423,6 +423,8 @@ REFUSED_MONITOR_FILES = [
     ({"tau": "x"}, "tau: 'x' is not a finite number"),
     ({"validation_gain": [1]}, "validation_gain: [1] is not a finite number"),
     ({"role": 3}, "role: 3 is not a string"),
+    ({"role": "intel"}, "role: 'intel' is not 'accuser'"),
+    ({"tau": None}, "tau: None is not a finite number"),
 ]
 
 
@@ -1039,11 +1041,16 @@ class TestMonitoredRuns:
             intervention=reset,
         )
         manifest = small_manifest(1, 1, 5)
-        for config, monitors in ((by_argument, {"accuser": untuned}), (by_path, None)):
-            with pytest.raises(ValueError, match="'accuser'"):
+        refusals = (
+            (by_argument, {"accuser": untuned}, "the 'accuser' monitor has no tau to trigger on"),
+            (by_path, None, "monitor.paths.accuser.tau: None is not a finite number"),
+        )
+        for config, monitors, refusal in refusals:
+            with pytest.raises(ValueError) as refused:
                 run_experiment(
                     config, manifest, split="test", output_dir=tmp_path / "out", monitors=monitors
                 )
+            assert str(refused.value) == refusal
             assert not (tmp_path / "out").exists()
         # Without an intervention the monitor is never scored, so no tau is needed.
         plain = replace(by_path, intervention=InterventionPolicy())

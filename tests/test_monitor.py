@@ -21,6 +21,7 @@ from roguewatch.monitor import (
     RandomMonitor,
     _best_threshold,
     _raw_table,
+    _scaled,
     all_feature_masks,
     design_matrix,
     fit_monitor,
@@ -45,9 +46,9 @@ def fit_on(train, feature_mask, degree, **kwargs) -> MonitorModel:
 
 
 def best_threshold(model, games, taus) -> MonitorModel:
-    """The tau search over the model's own design of ``games``."""
-    design = design_matrix(_raw_table(games, model.feature_mask), model.normalization, model.degree)
-    return _best_threshold(model, design, games, taus)
+    """The tau search over the model's own scaled inputs of ``games``."""
+    scaled = _scaled(_raw_table(games, model.feature_mask).T, model.normalization)
+    return _best_threshold(model, scaled, games, taus)
 
 
 def line_corpus() -> list[GameRecord]:
@@ -235,7 +236,8 @@ class TestGridSearch:
             monkeypatch.setattr(monitor, name, counted)
         corpus, games = self.separable_data()
         monitor.grid_search_ranked(corpus, games)
-        assert calls == {"_raw_table": 2, "design_matrix": 2, "fit_monitor": 35}
+        # The validation split is scaled, not expanded: one design, for training.
+        assert calls == {"_raw_table": 2, "design_matrix": 1, "fit_monitor": 35}
 
     def test_mask_catalog(self):
         masks = all_feature_masks()
