@@ -84,6 +84,34 @@ class AgentDecision:
     positions: tuple[tuple[float, ...], ...] = ()
 
 
+# A computed two-level entropy is within 3e-15 of the true h (sizes to 10^6), which falls on
+# [1/size, 1]: a computed h(a) SURE_MARGIN above the target puts all h on [1/size, a] above it.
+SURE_MARGIN = 1e-13
+
+
+def _entropy_bracket(target: float, size: int, max_h: float) -> tuple[float, float]:
+    """(a, b) around the root of h(p) = target, with h(a) > target + SURE_MARGIN
+    and b = 1 or h(b) < target - SURE_MARGIN, found by Halley steps from the
+    chord under the concave h; (0.0, 1.0), which certifies nothing, if none is."""
+    log, n = math.log, size - 1
+    h = lambda x: -x * log(x) - (1.0 - x) * log((1.0 - x) / n)
+    p = 1.0 - target * n / (size * max_h)
+    for _ in range(12):
+        if not 1.0 / size < p < 1.0:
+            break
+        lp, lq = log(p), log((1.0 - p) / n)
+        slope, gap = lq - lp, -p * lp - (1.0 - p) * lq - target  # h'(p), h(p) - target
+        if not slope < 0.0:
+            break
+        step = gap / (slope + gap * (1.0 / p + 1.0 / (1.0 - p)) / (2.0 * slope))
+        p -= step
+        if abs(step) < 1e-6:  # Halley converges cubically: p is now about at the root
+            a, b = p + 1.2 * SURE_MARGIN / slope, min(1.0, p - 1.2 * SURE_MARGIN / slope)
+            sure = a > 1.0 / size and h(a) > target + SURE_MARGIN
+            return (a, b) if sure and (b == 1.0 or h(b) < target - SURE_MARGIN) else (0.0, 1.0)
+    return 0.0, 1.0
+
+
 def distribution_with_entropy(target: float, size: int = 10) -> tuple[float, ...]:
     """A two-level distribution over ``size`` candidates with the given
     entropy (nats): probability p on the first entry, the rest uniform.
@@ -91,22 +119,22 @@ def distribution_with_entropy(target: float, size: int = 10) -> tuple[float, ...
     Entropy runs monotonically from 0 (p=1) to ln(size) (p=1/size), so the
     target is found by bisection of at most 80 steps. Once a step leaves
     (lo, hi) unchanged every later step would too, so the loop stops there
-    (after about 54 steps) with the same bits as the full 80.
+    (after about 54 steps) with the same bits as the full 80. Only midpoints
+    inside the certified bracket around the root compute h and take logs.
     """
     max_h = math.log(size)
     if not 0.0 <= target <= max_h + 1e-12:
         raise ValueError(f"entropy target {target} outside [0, ln {size}]")
 
+    a, b = _entropy_bracket(target, size, max_h)
     log = math.log
     lo, hi = 1.0 / size, 1.0  # h(lo)=ln(size), h(hi)=0
     for _ in range(80):
         mid = (lo + hi) / 2.0
-        # h(mid), the entropy of the two-level distribution with p = mid
-        if mid >= 1.0:
-            h = 0.0
-        else:
-            h = -mid * log(mid) - (1.0 - mid) * log((1.0 - mid) / (size - 1))
-        if h > target:
+        # h(mid) > target: sure up to a, never from b on (b <= 1 and h(1) = 0)
+        if mid <= a or mid < b and (
+            -mid * log(mid) - (1.0 - mid) * log((1.0 - mid) / (size - 1)) > target
+        ):
             if lo == mid:
                 break
             lo = mid
@@ -360,7 +388,7 @@ class RogueAgent:
         the past, they give the agent a clean second attempt)."""
         self.flips: dict[str, str] = {}
         # The knowledge the base sees once a fact is flipped, built once per
-        # flip so that its ``suspects_with`` cache holds across turns.
+        # flip; it shares the game's ``suspects_with`` lookups.
         self._flipped: Optional[KnowledgeSet] = None
         self.poisoned = False
         self.last_action: Optional[Action] = None

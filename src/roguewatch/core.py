@@ -359,6 +359,8 @@ class CommunicationChannel:
 
     def __init__(self) -> None:
         self._messages: list[Message] = []
+        self._rendered: list[str] = []  # each message's text, kept with it
+        self._events: list[tuple[MessageKind, dict]] = []  # each message's kind and fields
         self._checkpoints: list[int] = []
 
     @property
@@ -379,19 +381,22 @@ class CommunicationChannel:
 
     def append(self, message: Message, irreversible: bool = False) -> None:
         self._messages.append(message)
+        self._rendered.append(message.text)
+        self._events.append((message.kind, message.fields))
         if irreversible:
             self._checkpoints.append(len(self._messages))
 
     def rollback_to_checkpoint(self) -> None:
         """Remove every message after the last checkpoint."""
-        del self._messages[self.last_checkpoint :]
+        for kept in (self._messages, self._rendered, self._events):
+            del kept[self.last_checkpoint :]
 
     def rendered(self) -> list[str]:
-        return [m.text for m in self._messages]
+        return self._rendered.copy()
 
     def events(self) -> tuple[tuple[MessageKind, dict], ...]:
         """Each message's kind and its own fields dict, which callers must not mutate."""
-        return tuple((m.kind, m.fields) for m in self._messages)
+        return tuple(self._events)
 
 
 @dataclass

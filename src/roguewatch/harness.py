@@ -15,7 +15,7 @@ import math
 import statistics
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Callable, Optional, Sequence
 
@@ -101,15 +101,28 @@ COMMONS_TRAIN_POOL = tuple(105 + 5 * k for k in range(20))
 COMMONS_TEST_R0 = (100,) + tuple(range(210, 301, 5))
 
 
-@dataclass
 class SplitManifest:
-    env: str
-    train: list
-    validation: list
-    test: list
+    """An env's train, validation and test games: whodunit specs or commons
+    R0 values. Read from JSON, a split stays encoded until its first use, so
+    a run decodes only the split it plays and refuses a bad game there."""
+
+    def __init__(self, env: str, train: list, validation: list, test: list, decode=None) -> None:
+        self.env, self._splits = env, {"train": train, "validation": validation, "test": test}
+        self._decode = dict.fromkeys(self._splits, decode) if decode else {}  # by split still encoded
 
     def split(self, name: str) -> list:
-        return {"train": self.train, "validation": self.validation, "test": self.test}[name]
+        if name in self._decode:  # still encoded, and stays so if a game is refused
+            self._splits[name] = [self._decode[name](x) for x in self._splits[name]]
+            del self._decode[name]
+        return self._splits[name]
+
+    train = property(lambda self: self.split("train"))
+    validation = property(lambda self: self.split("validation"))
+    test = property(lambda self: self.split("test"))
+
+    def __eq__(self, other: object) -> bool:
+        same = lambda m: (m.env, m.train, m.validation, m.test)
+        return isinstance(other, SplitManifest) and same(self) == same(other)
 
     def to_json_obj(self) -> dict:
         """A whodunit manifest states its games' one schema at the top."""
@@ -128,15 +141,14 @@ class SplitManifest:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SplitManifest":
-        decode = lambda r0: r0
+        decode = None
         if obj["env"] == "whodunit":
             if "schema" not in obj:
                 raise ValueError("old-format manifest without a top-level 'schema': "
                                  "regenerate it with roguewatch gen-dataset")
             schema = AttributeSchema.of(tuple((name, tuple(vs)) for name, vs in obj["schema"]))
             decode = lambda spec: GameSpec.from_json_obj(spec, schema)
-        splits = ([decode(x) for x in obj[name]] for name in ("train", "validation", "test"))
-        return cls(obj["env"], *splits)
+        return cls(obj["env"], obj["train"], obj["validation"], obj["test"], decode)
 
 
 def _spec_key(spec: GameSpec) -> tuple:
@@ -245,8 +257,8 @@ def _own_check(key: str, build: Callable[[], object]) -> object:
 def _player(role: str, spec: object) -> Callable[[str, str, GameSpec, int], object]:
     """Read one role's backend spec, like {"type": "rogue", "epsilon": 0.3},
     refusing by key what it cannot play, into the builder of the role's
-    backend from (agent id, partners, game, game seed). The config gate and
-    every game read specs here, so a game plays exactly what the gate passed."""
+    backend from (agent id, partners, game, game seed). Only the config gate
+    and a game played alone read specs, so a game plays what the gate passed."""
     key = f"agents.{role}"
     backend = one_of(f"{key}.type", section(key, spec).get("type", "scripted"), BACKEND_KEYS)
     section(key, spec, BACKEND_KEYS[backend] - (set() if role == ROLE_INTEL else INTEL_ONLY))
@@ -290,10 +302,10 @@ def _monitor_file(role: str, path: str, triggers: bool) -> MonitorModel:
     return model
 
 
-def check_config(config: ExperimentConfig) -> None:
+def check_config(config: ExperimentConfig) -> dict[str, Callable]:
     """Refuse a config that cannot run as written, with a ValueError naming
-    the key. It reads the config only, so ``run_experiment`` calls it before
-    any game runs."""
+    the key, or return the builder of each whodunit role's backend. It reads
+    the config only, so ``run_experiment`` calls it once, before any game."""
     one_of("env", config.env, ENV_INTERVENTIONS)
     one_of("variant", config.variant, VARIANT_ROLES)
     one_of("intervention.kind", config.intervention.kind.value, ENV_INTERVENTIONS[config.env])
@@ -312,8 +324,9 @@ def check_config(config: ExperimentConfig) -> None:
                 f"n_agents x facts_per_agent: {config.n_agents} x {config.facts_per_agent} "
                 f"facts exceed the {attributes} attributes"
             )
-    for role, spec in section("agents", config.agents, () if commons else roles).items():
-        _player(role, spec)
+    agents = section("agents", config.agents, () if commons else roles)
+    read = () if commons else dict.fromkeys([*agents, *roles])  # the config's own roles first
+    players = {role: _player(role, agents.get(role, {})) for role in read}
     monitor = section("monitor", config.monitor)
     source = one_of("monitor.source", monitor.get("source", "none"), MONITOR_KEYS)
     section("monitor", monitor, MONITOR_KEYS[source])
@@ -327,16 +340,18 @@ def check_config(config: ExperimentConfig) -> None:
         raise ValueError("commons_policies: no harvester")
     for name in config.commons_policies:
         one_of("commons_policies", name, COMMONS_POLICIES)
+    return players
 
 
 def build_whodunit_backends(
     state: WhodunitState, agent_specs: dict, spec: GameSpec, game_seed: int
 ) -> dict[str, object]:
-    """One backend per agent, built by its role's reader, which reads the
-    role's spec once per game; a role with no spec plays scripted."""
+    """One backend per agent, built by its role's builder: the one in
+    ``agent_specs`` (a run's, from ``check_config``), or else read here from
+    the role's spec there; a role with no spec plays scripted."""
     roles = dict.fromkeys(state.role_of(a) for a in state.order)
     specs = section("agents", agent_specs, roles)
-    players = {role: _player(role, specs.get(role, {})) for role in roles}
+    players = {r: p if callable(p := specs.get(r, {})) else _player(r, p) for r in roles}
     partners = {a: ", ".join(b for b in state.order if b != a) for a in state.order}
     return {a: players[state.role_of(a)](a, partners[a], spec, game_seed) for a in state.order}
 
@@ -593,7 +608,7 @@ def run_experiment(
     interpreter lock, so those games run in the calling thread. Results
     are kept in game order either way, so the output bytes are the same.
     """
-    check_config(config)
+    players = check_config(config)
     if config.env != manifest.env:
         raise ValueError(f"config env {config.env!r} does not match manifest env {manifest.env!r}")
     games = manifest.split(split)
@@ -614,6 +629,7 @@ def run_experiment(
             if model.tau is None:
                 raise ValueError(f"the {role!r} monitor has no tau to trigger on")
     threaded = config.parallelism > 1 and "llm" in {s.get("type") for s in config.agents.values()}
+    played = replace(config, agents=players)  # every game builds its agents with the run's builders
     reps = range(config.repetitions)
     plays = [(rep, index, game) for rep in reps for index, game in enumerate(games)]
     summaries: list[Optional[dict]] = []  # per play, None for an invalid game
@@ -624,7 +640,7 @@ def run_experiment(
         seed = derive_seed(config.base_seed, split, index, "rep", rep)
         try:
             if config.env == "whodunit":
-                return run_whodunit_game(game, config, seed, monitors=monitors)
+                return run_whodunit_game(game, played, seed, monitors=monitors)
             return run_commons_trial(game, config, seed, monitors=monitors)[1]
         except ApiError as exc:
             logger.warning("game %s aborted: %s", index, exc)

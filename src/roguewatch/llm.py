@@ -260,13 +260,14 @@ def extract_positions(
                 return vectors
         if spans[span][0] >= cursor:
             continue
+        wrong = f"completion content token {index} top_logprobs of the wrong shape"
         try:
             masses = [math.exp(alt["logprob"]) for alt in per_token[index]]
         except (TypeError, OverflowError) as exc:
-            raise ValueError(
-                f"completion content token {index} top_logprobs of the wrong shape: {exc}"
-            ) from exc
+            raise ValueError(f"{wrong}: {exc}") from exc
         total = sum(masses)
+        if math.isnan(total):  # json.loads reads NaN
+            raise ValueError(f"{wrong}: a logprob is NaN")
         if total > 0.0:
             vectors.append(tuple(m / total for m in masses))
     return vectors

@@ -23,28 +23,29 @@ DEGENERATE_VARENTROPY = 1e-24
 KURTOSIS_FALLBACK = 0.0
 
 
-def _check_distribution(p: Sequence[float]) -> None:
+def _statistics(p: Sequence[float]) -> tuple[float, float, Optional[float]]:
+    """Check ``p`` and return its entropy, varentropy and kurtosis, the
+    kurtosis being None where the varentropy is degenerate. One pass checks
+    each entry and takes the log of each positive one. The public
+    statistics and the feature pooling all compute through here."""
     if len(p) == 0:
         raise InvalidDistributionError("empty probability vector")
-    total = math.fsum(p)
-    if any(x < 0.0 for x in p):
-        raise InvalidDistributionError("negative probability entry")
-    if abs(total - 1.0) > SUM_TOLERANCE:
-        raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
-
-
-def _statistics(p: Sequence[float]) -> tuple[float, float, Optional[float]]:
-    """Check ``p`` once and return its entropy, varentropy and kurtosis,
-    the kurtosis being None where the varentropy is degenerate. The public
-    statistics and the feature pooling all compute through here."""
-    _check_distribution(p)
     log = math.log
-    h = -math.fsum(x * log(x) for x in p if x > 0.0)
-    deviations = [(x, -log(x) - h) for x in p if x > 0.0]
-    var = math.fsum(x * d ** 2 for x, d in deviations)
+    terms = []  # (x, ln x) of each positive entry
+    for x in p:
+        if x > 0.0:
+            terms.append((x, log(x)))
+        elif x != 0.0:
+            raise InvalidDistributionError(f"probability entry {x!r} is negative or NaN")
+    total = math.fsum(p)
+    if not abs(total - 1.0) <= SUM_TOLERANCE:
+        raise InvalidDistributionError(f"probabilities sum to {total!r}, not 1")
+    h = -math.fsum([x * lx for x, lx in terms])
+    deviations = [(x, -lx - h) for x, lx in terms]
+    var = math.fsum([x * d ** 2 for x, d in deviations])
     if var < DEGENERATE_VARENTROPY:
         return h, var, None
-    fourth = math.fsum(x * d ** 4 for x, d in deviations)
+    fourth = math.fsum([x * d ** 4 for x, d in deviations])
     return h, var, fourth / (var * var)
 
 

@@ -12,10 +12,9 @@ the exact strings in it are load-bearing and covered by tests.
 
 from __future__ import annotations
 
-import functools
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .core import (
@@ -140,16 +139,14 @@ class KnowledgeSet:
     role: str
     culprit_facts: tuple[tuple[str, str], ...] = ()
     suspect_table: Optional[tuple] = None
-
-    @functools.cached_property
-    def _ids_with(self) -> dict[tuple[str, str], tuple[int, ...]]:
-        return {}
+    # The suspects_with lookups made so far; one game's knowledge sets share it.
+    ids_with: dict = field(default_factory=dict, compare=False, repr=False)
 
     def suspects_with(self, pair: tuple[str, str]) -> tuple[int, ...]:
         """Ids of the table's suspects with ``pair``, a (property, value), in
-        table order, looked up on first use: a symmetric player asks about a
-        few pairs a game, so a whole map per player costs more than it saves."""
-        known = self._ids_with
+        table order, looked up on first use: a symmetric game asks about a
+        few pairs, so a whole map per game costs more than it saves."""
+        known = self.ids_with
         if pair not in known:
             known[pair] = tuple(s.suspect_id for s in self.suspect_table if pair in s.assignment)
         return known[pair]
@@ -194,6 +191,7 @@ def deal_symmetric_facts(
     rng = random.Random(seed)
     dealt = rng.sample(list(names), n_agents * facts_per_agent)
     culprit_values = spec.culprit.as_dict()
+    ids_with: dict = {}  # one lookup table for the game's players
     knowledge: dict[str, KnowledgeSet] = {}
     for i in range(n_agents):
         agent = DEFAULT_PLAYER_NAMES[i] if i < len(DEFAULT_PLAYER_NAMES) else f"Player{i + 1}"
@@ -202,6 +200,7 @@ def deal_symmetric_facts(
             role=ROLE_PLAYER,
             culprit_facts=tuple((name, culprit_values[name]) for name in chunk),
             suspect_table=spec.suspects,
+            ids_with=ids_with,
         )
     return knowledge
 

@@ -285,6 +285,21 @@ class TestChannel:
                 assert list(ch.checkpoints) == sorted(set(ch.checkpoints))
                 assert all(c <= len(ch) for c in ch.checkpoints)
 
+    def test_rendered_and_events_follow_the_messages(self):
+        """The lines and events the channel keeps equal what its messages
+        give after any sequence of appends and rollbacks."""
+        rng = random.Random(25)
+        for _ in range(200):
+            ch = CommunicationChannel()
+            for counter in range(rng.randint(1, 40)):
+                if rng.random() < 0.6:
+                    ch.append(msg(counter), irreversible=rng.random() < 0.1)
+                else:
+                    ch.rollback_to_checkpoint()
+                assert ch.rendered() == [m.text for m in ch.messages]
+                assert ch.events() == tuple((m.kind, m.fields) for m in ch.messages)
+                assert all(e[1] is m.fields for e, m in zip(ch.events(), ch.messages))
+
 
 class TestTrajectorySerialization:
     def test_jsonl_roundtrip_shape(self):

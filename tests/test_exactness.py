@@ -14,6 +14,7 @@ import random
 import numpy as np
 import pytest
 
+from roguewatch import agents
 from roguewatch.agents import CLEAN_BAND, CORRUPT_BAND, distribution_with_entropy
 from roguewatch.errors import DegenerateDistributionError
 from roguewatch.harness import ExperimentConfig, gen_dataset, run_experiment
@@ -96,6 +97,60 @@ def test_bisection_bit_identical_for_other_sizes(size):
         assert bits(distribution_with_entropy(target, size)) == bits(
             reference_distribution_with_entropy(target, size)
         )
+
+
+def edge_targets(size: int) -> list[float]:
+    """Targets at 10^-k from either end of [0, ln size], down to 1e-300,
+    the ends themselves, and seeded ones across the range."""
+    top = math.log(size)
+    targets = [0.0, top]
+    for k in range(1, 301):
+        targets += [10.0**-k, top - 10.0**-k]
+    rng = random.Random(size)
+    return targets + [rng.uniform(0.0, top) for _ in range(100)]
+
+
+def test_bisection_bit_identical_at_the_edges_for_sizes_2_to_50():
+    mismatched = [
+        (size, target)
+        for size in range(2, 51)
+        for target in edge_targets(size)
+        if bits(distribution_with_entropy(target, size))
+        != bits(reference_distribution_with_entropy(target, size))
+    ]
+    assert mismatched == []
+
+
+def test_bisection_without_a_bracket_is_the_plain_loop(monkeypatch):
+    """Where no bracket certifies, every midpoint computes h."""
+    monkeypatch.setattr(agents, "_entropy_bracket", lambda target, size, max_h: (0.0, 1.0))
+    rng = random.Random(5)
+    for size in (2, 10, 50):
+        targets = edge_targets(size)[::7]
+        targets += [rng.uniform(*CLEAN_BAND) for _ in range(100)]
+        targets += [rng.uniform(*CORRUPT_BAND) for _ in range(100)] if size >= 10 else []
+        for target in targets:
+            assert bits(distribution_with_entropy(target, size)) == bits(
+                reference_distribution_with_entropy(target, size)
+            ), (size, target)
+
+
+@pytest.mark.parametrize("band", [CLEAN_BAND, CORRUPT_BAND])
+def test_band_targets_take_few_logs(band, monkeypatch):
+    """A rogue's targets take logs only near the root: at most 40 a call on
+    average, against about 108 for the bisection alone."""
+    calls, log = [0], math.log
+
+    def counted(x):
+        calls[0] += 1
+        return log(x)
+
+    rng = random.Random(11)
+    targets = [rng.uniform(*band) for _ in range(4000)]
+    monkeypatch.setattr(math, "log", counted)
+    for target in targets:
+        distribution_with_entropy(target)
+    assert calls[0] / len(targets) <= 40
 
 
 def distributions():

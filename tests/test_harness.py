@@ -18,6 +18,7 @@ from roguewatch.agents import AgentObservation, ScriptedAccuser, ScriptedIntel
 from roguewatch.cli import main as cli_main
 from roguewatch.commons import CommonsConfig, RoundRecord, commons_metrics
 from roguewatch.core import (
+    GameSpec,
     MessageKind,
     Outcome,
     Trajectory,
@@ -118,8 +119,44 @@ class TestGenDataset:
         )
         assert restored.to_json_obj() == manifest.to_json_obj()
 
+    def test_a_read_manifest_decodes_a_split_on_first_use(self, monkeypatch):
+        """A run decodes only the split it plays; a bad game is refused when
+        its split is read."""
+        manifest = small_manifest(3, 2, 2)
+        obj = json.loads(json.dumps(manifest.to_json_obj()))
+        obj["train"][0]["suspects"][0] = "x" + obj["train"][0]["suspects"][0][1:]
+        decoded, decode = [], GameSpec.from_json_obj
+        monkeypatch.setattr(
+            GameSpec, "from_json_obj", lambda o, schema: decoded.append(o) or decode(o, schema)
+        )
+        restored = SplitManifest.from_json_obj(obj)
+        assert decoded == []
+        report = run_experiment(scripted_config(), restored, split="test")
+        assert report["invalid"] == 0 and decoded == obj["test"]
+        assert restored.test is restored.split("test") and len(decoded) == 2
+        assert restored.validation == manifest.validation
+        with pytest.raises(ValueError, match="'hat'"):
+            restored.split("train")
+        with pytest.raises(ValueError, match="'hat'"):
+            restored == manifest
+
 
 class TestRunExperiment:
+    def test_each_role_spec_is_read_once_per_run(self, monkeypatch):
+        """The gate reads each role's backend spec, and every game builds
+        its agents with the builders it returned."""
+        reads, read = [], harness._player
+        monkeypatch.setattr(
+            harness, "_player", lambda role, spec: reads.append(role) or read(role, spec)
+        )
+        config = scripted_config(agents={"intel": ROGUE}, repetitions=2)
+        report = run_experiment(config, small_manifest(0, 0, 5))
+        assert reads == ["intel", "accuser"] and report["invalid"] == 0
+        reads.clear()
+        symmetric = gen_dataset("whodunit", sizes=(0, 0, 5), seed=3, variant="symmetric")
+        run_experiment(ExperimentConfig(variant="symmetric", agents={"player": ROGUE}), symmetric)
+        assert reads == ["player"]
+
     def test_replay_fidelity(self, tmp_path):
         manifest = small_manifest(2, 1, 3)
         config = scripted_config(repetitions=2)

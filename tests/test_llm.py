@@ -348,6 +348,15 @@ class TestExtractPositions:
         whodunit = extract_positions(text, per_token, tokens)
         assert len(whodunit) == 2  # "12" and "5" as separate integers
 
+    def test_a_nan_logprob_is_the_wrong_shape(self):
+        """json.loads reads NaN; a numeral's top-k list holding it is refused
+        by token, so the client retries the reply."""
+        tokens = ["character ", "3"]
+        per_token = [alternatives((t, -0.1)) for t in tokens]
+        per_token[1] = json.loads('[{"token": "3", "logprob": NaN}, {"token": "4", "logprob": -2}]')
+        with pytest.raises(ValueError, match="token 1 top_logprobs of the wrong shape"):
+            extract_positions("character 3", per_token, tokens)
+
     def test_pure_function(self):
         text = "pick 4"
         tokens = ["pick ", "4"]

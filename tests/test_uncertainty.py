@@ -64,6 +64,12 @@ def test_invalid_distributions_rejected():
         varentropy([])
 
 
+@pytest.mark.parametrize("p", [[math.nan, 1.0], [0.5, 0.5, math.nan], [1.0, -0.0, math.nan]])
+def test_a_nan_entry_is_refused(p):
+    with pytest.raises(InvalidDistributionError, match="nan"):
+        entropy(p)
+
+
 def test_matches_brute_force_oracle():
     rng = random.Random(7)
     for _ in range(300):
