@@ -11,7 +11,6 @@ ever undoing irreversible actions.
 from .core import (
     CommunicationChannel,
     GameSpec,
-    Message,
     MessageKind,
     Outcome,
     Trajectory,
@@ -32,7 +31,6 @@ __all__ = [
     "GameSpec",
     "InterventionKind",
     "InterventionPolicy",
-    "Message",
     "MessageKind",
     "MonitorModel",
     "NormalSystem",

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
-from .core import CommunicationChannel, Message, MessageKind
+from .core import CommunicationChannel, MessageKind
 from .errors import NegativeRequestError
 
 
@@ -95,21 +95,16 @@ def harvest_phase(state: CommonsState, requests: dict[str, float], seed: int) ->
     )
     summary = ", ".join(f"{agent} took {taken[agent]:g}" for agent in sorted(taken))
     state.channel.append(
-        Message(
-            author="system",
-            kind=MessageKind.SYSTEM,
-            text=f"Round {state.round_index} harvest complete: {summary}. "
-            f"Remaining fish: {state.stock:g}.",
-        ),
+        MessageKind.SYSTEM,
+        f"Round {state.round_index} harvest complete: {summary}. "
+        f"Remaining fish: {state.stock:g}.",
         irreversible=True,
     )
 
 
-def post_discussion(state: CommonsState, agent: str, text: str) -> None:
-    """Append one free-form discussion message (reversible)."""
-    state.channel.append(
-        Message(author=agent, kind=MessageKind.DISCUSSION, text=text)
-    )
+def post_discussion(state: CommonsState, text: str) -> None:
+    """Append one free-form discussion message (reversible); its text names its author."""
+    state.channel.append(MessageKind.DISCUSSION, text)
 
 
 def regrow(state: CommonsState) -> None:

@@ -340,55 +340,41 @@ def generate_game(
     )
 
 
-@dataclass
-class Message:
-    """A rendered channel entry plus the fields it was rendered from."""
-
-    author: str
-    kind: MessageKind
-    text: str
-    fields: dict = field(default_factory=dict)
-
-
 class CommunicationChannel:
     """Ordered message log with checkpoint marks at irreversible boundaries.
 
-    The message prefix up to the last checkpoint is immutable: every
-    rollback operation refuses to cross it.
+    Each message is kept once, as its rendered line and its ``(kind,
+    fields)`` event. The prefix up to the last checkpoint is immutable:
+    every rollback operation refuses to cross it.
     """
 
     def __init__(self) -> None:
-        self._messages: list[Message] = []
-        self._rendered: list[str] = []  # each message's text, kept with it
+        self._rendered: list[str] = []  # each message's text
         self._events: list[tuple[MessageKind, dict]] = []  # each message's kind and fields
         self._checkpoints: list[int] = []
-
-    @property
-    def messages(self) -> tuple[Message, ...]:
-        return tuple(self._messages)
 
     @property
     def checkpoints(self) -> tuple[int, ...]:
         return tuple(self._checkpoints)
 
     def __len__(self) -> int:
-        return len(self._messages)
+        return len(self._rendered)
 
     @property
     def last_checkpoint(self) -> int:
         """Index (message count) of the last irreversible boundary, 0 if none."""
         return self._checkpoints[-1] if self._checkpoints else 0
 
-    def append(self, message: Message, irreversible: bool = False) -> None:
-        self._messages.append(message)
-        self._rendered.append(message.text)
-        self._events.append((message.kind, message.fields))
+    def append(self, kind: MessageKind, text: str, fields: Optional[dict] = None,
+               irreversible: bool = False) -> None:
+        self._rendered.append(text)
+        self._events.append((kind, {} if fields is None else fields))
         if irreversible:
-            self._checkpoints.append(len(self._messages))
+            self._checkpoints.append(len(self._rendered))
 
     def rollback_to_checkpoint(self) -> None:
         """Remove every message after the last checkpoint."""
-        for kept in (self._messages, self._rendered, self._events):
+        for kept in (self._rendered, self._events):
             del kept[self.last_checkpoint :]
 
     def rendered(self) -> list[str]:

@@ -85,7 +85,7 @@ logger = logging.getLogger("roguewatch.harness")
 
 BACKEND_KEYS = {
     "scripted": {"type", "broad_for_specific"},
-    "rogue": {"type", "broad_for_specific", "epsilon", "behaviors", "clean_band", "corrupt_band"},
+    "rogue": {"type", "broad_for_specific", *(f.name for f in fields(RogueProfile))},
     "llm": {"type", "config"},
 }
 INTEL_ONLY = {"broad_for_specific"}  # only the intel's policy reads it
@@ -329,7 +329,7 @@ def check_config(config: ExperimentConfig) -> dict[str, Callable]:
     players = {role: _player(role, agents.get(role, {})) for role in read}
     monitor = section("monitor", config.monitor)
     source = one_of("monitor.source", monitor.get("source", "none"), MONITOR_KEYS)
-    section("monitor", monitor, MONITOR_KEYS[source])
+    section("monitor", monitor, MONITOR_KEYS[source], ["paths"] if source == "models" else ())
     if source == "random":
         number("monitor.p", monitor.get("p"), 0, 1)
     for role, path in section("monitor.paths", monitor.get("paths", {}), roles).items():
@@ -428,7 +428,7 @@ class CommonsEnv:
 
     def _discuss(self) -> None:
         for p in self.policies:
-            post_discussion(self.state, p.agent_id, p.discussion_line(self.state.stock))
+            post_discussion(self.state, p.discussion_line(self.state.stock))
 
     def observe(self) -> tuple[str, AgentObservation]:
         state = self.state
@@ -469,16 +469,21 @@ def drive(
     monitors: Optional[dict[str, MonitorModel]] = None,
 ) -> Trajectory:
     """Play one game to its end, monitoring each decision before the env
-    applies it. A random monitor source gives each role its own seeded
-    RandomMonitor, and a fitted monitor wins for its role; under intervention
-    ``none`` nothing is scored, so no random draw is spent."""
+    applies it. ``monitor.source`` alone picks each role's scorer: the
+    fitted ``monitors`` under ``models``, which are refused under any other
+    source, or a seeded RandomMonitor per role under ``random``. Under
+    intervention ``none`` nothing is scored, so no random draw is spent."""
     policy = config.intervention
+    source = config.monitor.get("source", "none")
+    if monitors is not None and source != "models":
+        raise ValueError(f"monitor.source: {source!r} is not 'models'")
     models: dict[str, MonitorModel | RandomMonitor] = {}
     if policy.kind is not InterventionKind.NONE:
-        if config.monitor.get("source") == "random":
+        if source == "random":
             p = config.monitor["p"]
             models = {r: RandomMonitor(p, derive_seed(game_seed, "rm", r)) for r in env.roles}
-        models.update(monitors or {})
+        else:
+            models = monitors or {}
     resample = policy.kind is InterventionKind.RESAMPLE
     budget = TriggerBudget(policy.cap_per_role)
     trajectory = Trajectory(game=env.spec)
@@ -588,7 +593,6 @@ def run_experiment(
     manifest: SplitManifest,
     split: str = "test",
     output_dir: Optional[Path] = None,
-    monitors: Optional[dict[str, MonitorModel]] = None,
 ) -> dict:
     """Run every game of a split ``repetitions`` times with derived seeds.
 
@@ -598,9 +602,9 @@ def run_experiment(
     and counted as invalid; the other games still count. A config that
     cannot run raises ValueError naming the key before any game runs and
     before anything is written: whatever ``check_config`` refuses, an env
-    or variant other than the manifest's, a ``models`` monitor with no
-    ``paths`` and no ``monitors`` passed in, a monitor file of another
-    role, or an intervention with a monitor that has no tau.
+    or variant other than the manifest's, or a monitor file that
+    ``_monitor_file`` refuses. The run scores only with the monitors in the
+    files that ``monitor.paths`` names.
 
     Games run on ``parallelism`` threads only when some role is played by
     an ``llm`` backend, whose games wait on the network. Every other
@@ -616,18 +620,13 @@ def run_experiment(
     others = sorted({spec.variant.value for spec in games if config.env == "whodunit"} - {variant})
     if others:
         raise ValueError(f"config variant {variant!r} differs from the manifest's {others[0]!r}")
-    triggers = config.intervention.kind is not InterventionKind.NONE
-    if config.monitor.get("source") == "models" and monitors is None:
-        if "paths" not in config.monitor:
-            raise ValueError("monitor.paths: a models monitor needs paths or monitors passed in")
+    monitors = None
+    if config.monitor.get("source") == "models":
+        triggers = config.intervention.kind is not InterventionKind.NONE
         monitors = {
             role: _monitor_file(role, path, triggers)
             for role, path in config.monitor["paths"].items()
         }
-    if triggers:
-        for role, model in (monitors or {}).items():
-            if model.tau is None:
-                raise ValueError(f"the {role!r} monitor has no tau to trigger on")
     threaded = config.parallelism > 1 and "llm" in {s.get("type") for s in config.agents.values()}
     played = replace(config, agents=players)  # every game builds its agents with the run's builders
     reps = range(config.repetitions)
@@ -747,9 +746,18 @@ def train_monitor_from_logs(
 
 
 def summarize(reports: Sequence[dict]) -> tuple[str, str]:
-    """Aggregate reports into a plain-text table and a CSV string."""
+    """Aggregate reports into a plain-text table and a CSV string. A value
+    that is not a report is refused by its key path, ``reports[<i>]``."""
     if not reports:
         raise ValueError("no reports")
+    for index, report in enumerate(reports):
+        key = f"reports[{index}]"
+        section(key, report, None, ("env", "games", "invalid", "mean", "stderr"))
+        one_of(f"{key}.env", report["env"], METRICS)
+        for name in ("mean", "stderr"):
+            for metric, value in section(f"{key}.{name}", report[name]).items():
+                if value is not None:
+                    number(f"{key}.{name}.{metric}", value)
     kinds = {report["env"] for report in reports}
     if len(kinds) > 1:
         raise ValueError(f"refusing to mix environment kinds: {sorted(kinds)}")

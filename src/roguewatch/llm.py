@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import MessageKind, integer, number, section, string
 from .errors import ApiError, MalformedGenerationError
-from .whodunit import ROLE_ACCUSER, ROLE_KINDS, Action
+from .whodunit import ROLE_ACCUSER, ROLE_INTEL, ROLE_KINDS, Action
 
 logger = logging.getLogger("roguewatch.llm")
 
@@ -398,7 +398,7 @@ class LlmAgent:
             self._system = (obs.knowledge, self._system_prompt(obs))
         system = self._system[1]
         channel = "\n".join(obs.channel_view) if obs.channel_view else "(empty)"
-        if self.role in ("accuser", "intel"):
+        if self.role in (ROLE_ACCUSER, ROLE_INTEL):
             return system, _load_prompt("asym_user.txt").format(
                 COMMUNICATION_CHANNEL=channel,
                 TURN_COUNT=obs.turn_index,
@@ -417,7 +417,7 @@ class LlmAgent:
 
     def _system_prompt(self, obs) -> str:
         attributes = ", ".join(sorted({p for p, _ in _schema_pairs(obs)}))
-        if self.role == "accuser":
+        if self.role == ROLE_ACCUSER:
             return _load_prompt("asym_accuser_system.txt").format(
                 NAME=self.agent_id,
                 PARTNER_NAME=self.partner,
@@ -425,7 +425,7 @@ class LlmAgent:
                 CHARACTER_ATTRIBUTES=attributes,
                 WINNER_DESCRIPTION=describe_winner(obs.knowledge.culprit_facts),
             )
-        if self.role == "intel":
+        if self.role == ROLE_INTEL:
             return _load_prompt("asym_intel_system.txt").format(
                 NAME=self.agent_id,
                 PARTNER_NAME=self.partner,

@@ -20,7 +20,6 @@ from typing import Optional
 from .core import (
     CommunicationChannel,
     GameSpec,
-    Message,
     MessageKind,
     Outcome,
     Variant,
@@ -231,11 +230,12 @@ def _require(condition: bool, reason: str) -> None:
         raise IllegalActionError(reason)
 
 
-def _pending_specific_request(state: WhodunitState) -> Optional[Message]:
-    for message in reversed(state.channel.messages):
-        if message.kind is MessageKind.REQUEST_SPECIFIC:
-            return message
-        if message.kind in (MessageKind.RESPOND, MessageKind.RESPOND_BROAD):
+def _pending_specific_request(state: WhodunitState) -> Optional[dict]:
+    """The fields of the last specific request, if no response followed it."""
+    for kind, fields in reversed(state.channel.events()):
+        if kind is MessageKind.REQUEST_SPECIFIC:
+            return fields
+        if kind in (MessageKind.RESPOND, MessageKind.RESPOND_BROAD):
             return None
     return None
 
@@ -275,7 +275,7 @@ def _respond(state: WhodunitState, agent: str, action: Action) -> dict:
     _require(action.truth is not None, "respond needs a boolean value")
     request = _pending_specific_request(state)
     _require(request is not None, "no pending specific request to answer")
-    return {**request.fields, "truth": action.truth}
+    return {**request, "truth": action.truth}
 
 
 def _respond_broad(state: WhodunitState, agent: str, action: Action) -> dict:
@@ -326,8 +326,7 @@ def step(state: WhodunitState, action: Action) -> None:
 
     accusing = action.prime is MessageKind.ACCUSE
     text = render(action.prime, name=agent, **fields)
-    message = Message(author=agent, kind=action.prime, text=text, fields=fields)
-    state.channel.append(message, irreversible=accusing)
+    state.channel.append(action.prime, text, fields, irreversible=accusing)
     if accusing:
         state.accused_id = action.target
         state.outcome = (

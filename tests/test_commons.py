@@ -77,7 +77,7 @@ class TestHarvest:
         state = fresh()
         harvest_phase(state, {"a": 5.0}, seed=0)
         assert state.channel.checkpoints == (1,)
-        post_discussion(state, "a", "let's slow down")
+        post_discussion(state, "let's slow down")
         state.channel.rollback_to_checkpoint()
         assert len(state.channel) == 1
         assert state.history[-1].harvests == {"a": 5.0}  # untouched

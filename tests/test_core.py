@@ -13,7 +13,6 @@ from roguewatch.core import (
     AttributeSchema,
     CommunicationChannel,
     GameSpec,
-    Message,
     MessageKind,
     Outcome,
     SuspectProfile,
@@ -28,8 +27,8 @@ from roguewatch.errors import InfeasibleRequestError
 from roguewatch.harness import SplitManifest, gen_dataset
 
 
-def msg(i: int, kind: MessageKind = MessageKind.DISCUSSION) -> Message:
-    return Message(author="a", kind=kind, text=f"m{i}")
+def msg(i: int, kind: MessageKind = MessageKind.DISCUSSION) -> tuple[MessageKind, str]:
+    return kind, f"m{i}"
 
 
 class TestSchema:
@@ -239,30 +238,30 @@ class TestManifestFormat:
 class TestChannel:
     def test_append_preserves_order(self):
         ch = CommunicationChannel()
-        ch.append(msg(1))
-        ch.append(msg(2))
+        ch.append(*msg(1))
+        ch.append(*msg(2))
         assert ch.rendered() == ["m1", "m2"]
         assert ch.checkpoints == ()
 
     def test_irreversible_append_places_checkpoint_at_tail(self):
         ch = CommunicationChannel()
-        ch.append(msg(1))
-        ch.append(msg(2, MessageKind.ACCUSE), irreversible=True)
+        ch.append(*msg(1))
+        ch.append(*msg(2, MessageKind.ACCUSE), irreversible=True)
         assert ch.checkpoints == (2,)
 
     def test_rollback_without_checkpoint_empties(self):
         ch = CommunicationChannel()
         for i in range(5):
-            ch.append(msg(i))
+            ch.append(*msg(i))
         ch.rollback_to_checkpoint()
         assert len(ch) == 0
 
     def test_rollback_to_checkpoint_keeps_prefix(self):
         ch = CommunicationChannel()
         for i in range(3):
-            ch.append(msg(i), irreversible=i == 2)
-        ch.append(msg(3))
-        ch.append(msg(4))
+            ch.append(*msg(i), irreversible=i == 2)
+        ch.append(*msg(3))
+        ch.append(*msg(4))
         ch.rollback_to_checkpoint()
         assert ch.rendered() == ["m0", "m1", "m2"]
 
@@ -277,7 +276,7 @@ class TestChannel:
                 frozen = ch.rendered()[: ch.last_checkpoint]
                 op = rng.random()
                 if op < 0.5:
-                    ch.append(msg(counter), irreversible=rng.random() < 0.2)
+                    ch.append(*msg(counter), irreversible=rng.random() < 0.2)
                     counter += 1
                 else:
                     ch.rollback_to_checkpoint()
@@ -286,19 +285,26 @@ class TestChannel:
                 assert all(c <= len(ch) for c in ch.checkpoints)
 
     def test_rendered_and_events_follow_the_messages(self):
-        """The lines and events the channel keeps equal what its messages
-        give after any sequence of appends and rollbacks."""
+        """The lines and events the channel keeps equal a plain list model
+        of the same appends and rollbacks."""
         rng = random.Random(25)
         for _ in range(200):
             ch = CommunicationChannel()
+            model, checkpoint = [], 0  # (kind, text, fields) of each kept message
             for counter in range(rng.randint(1, 40)):
                 if rng.random() < 0.6:
-                    ch.append(msg(counter), irreversible=rng.random() < 0.1)
+                    kind, text = msg(counter)
+                    fields = {"n": counter}
+                    irreversible = rng.random() < 0.1
+                    ch.append(kind, text, fields, irreversible=irreversible)
+                    model.append((kind, text, fields))
+                    checkpoint = len(model) if irreversible else checkpoint
                 else:
                     ch.rollback_to_checkpoint()
-                assert ch.rendered() == [m.text for m in ch.messages]
-                assert ch.events() == tuple((m.kind, m.fields) for m in ch.messages)
-                assert all(e[1] is m.fields for e, m in zip(ch.events(), ch.messages))
+                    del model[checkpoint:]
+                assert ch.rendered() == [text for _, text, _ in model]
+                assert ch.events() == tuple((kind, fields) for kind, _, fields in model)
+                assert all(e[1] is m[2] for e, m in zip(ch.events(), model))
 
 
 class TestTrajectorySerialization:

@@ -299,7 +299,7 @@ REFUSED = [
      "monitor: 'paths'"),
     ({"monitor": {"source": "models", "paths": {"player": "p.json"}}}, "asymmetric",
      "monitor.paths: 'player'"),
-    ({"monitor": {"source": "models"}}, "asymmetric", "monitor.paths"),
+    ({"monitor": {"source": "models"}}, "asymmetric", "monitor: 'paths' is missing"),
     ({"env": "commons", "commons_policies": ["sustainble", *SUSTAINABLE]}, "commons",
      "commons_policies: 'sustainble'"),
     ({"env": "commons", "agents": {"harvester": {"type": "scripted"}}}, "commons",
@@ -1045,23 +1045,19 @@ class TestMonitoredRuns:
 
     def test_trigger_histogram_emitted(self, tmp_path):
         manifest = small_manifest(1, 1, 6)
+        path = tmp_path / "accuser.json"
+        path.write_text(self.handmade_monitor().to_json())
         config = ExperimentConfig(
             agents={
                 "accuser": {"type": "rogue", "epsilon": 0.5},
                 "intel": {"type": "scripted"},
             },
-            monitor={"source": "models"},
+            monitor={"source": "models", "paths": {"accuser": str(path)}},
             intervention=InterventionPolicy(
                 kind=InterventionKind.FULL_RESET, cap_per_role=1
             ),
         )
-        report = run_experiment(
-            config,
-            manifest,
-            split="test",
-            output_dir=tmp_path,
-            monitors={"accuser": self.handmade_monitor()},
-        )
+        report = run_experiment(config, manifest, split="test", output_dir=tmp_path)
         assert report["trigger_histogram"]
         assert all(int(turn) >= 1 for turn in report["trigger_histogram"])
 
@@ -1071,27 +1067,48 @@ class TestMonitoredRuns:
         path.write_text(untuned.to_json())
         agents = {"accuser": {"type": "rogue", "epsilon": 0.5}, "intel": {"type": "scripted"}}
         reset = InterventionPolicy(kind=InterventionKind.FULL_RESET, cap_per_role=1)
-        by_argument = ExperimentConfig(agents=agents, intervention=reset)
         by_path = ExperimentConfig(
             agents=agents,
             monitor={"source": "models", "paths": {"accuser": str(path)}},
             intervention=reset,
         )
         manifest = small_manifest(1, 1, 5)
-        refusals = (
-            (by_argument, {"accuser": untuned}, "the 'accuser' monitor has no tau to trigger on"),
-            (by_path, None, "monitor.paths.accuser.tau: None is not a finite number"),
-        )
-        for config, monitors, refusal in refusals:
-            with pytest.raises(ValueError) as refused:
-                run_experiment(
-                    config, manifest, split="test", output_dir=tmp_path / "out", monitors=monitors
-                )
-            assert str(refused.value) == refusal
-            assert not (tmp_path / "out").exists()
+        with pytest.raises(ValueError) as refused:
+            run_experiment(by_path, manifest, split="test", output_dir=tmp_path / "out")
+        assert str(refused.value) == "monitor.paths.accuser.tau: None is not a finite number"
+        assert not (tmp_path / "out").exists()
         # Without an intervention the monitor is never scored, so no tau is needed.
         plain = replace(by_path, intervention=InterventionPolicy())
         assert run_experiment(plain, manifest, split="test")["invalid"] == 0
+
+    @pytest.mark.parametrize("monitor", [{"source": "none"}, {"source": "random", "p": 0.5}])
+    def test_passed_monitors_refused_unless_the_source_is_models(self, monitor, monkeypatch):
+        """A game scores with passed-in monitors only under monitor.source
+        'models'; under any other source it refuses them before any turn."""
+        observed = []
+        for env in (harness.WhodunitEnv, harness.CommonsEnv):
+            counted = lambda self, real=env.observe: observed.append(1) or real(self)
+            monkeypatch.setattr(env, "observe", counted)
+        accuser = self.handmade_monitor()
+        whodunit = ExperimentConfig(
+            agents={"accuser": {"type": "rogue", "epsilon": 1.0}},
+            monitor=monitor,
+            intervention=InterventionPolicy(kind=InterventionKind.FULL_RESET, cap_per_role=1),
+        )
+        commons = ExperimentConfig(
+            env="commons",
+            monitor=monitor,
+            intervention=InterventionPolicy(kind=InterventionKind.ROUND_RESET, cap_per_role=1),
+        )
+        refusal = re.escape(f"monitor.source: {monitor['source']!r} is not 'models'")
+        spec = small_manifest(1, 1, 1).test[0]
+        with pytest.raises(ValueError, match=refusal):
+            run_whodunit_game(spec, whodunit, game_seed=5, monitors={"accuser": accuser})
+        with pytest.raises(ValueError, match=refusal):
+            harness.run_commons_trial(
+                100.0, commons, 5, monitors={"harvester": replace(accuser, role="harvester")}
+            )
+        assert observed == []
 
     @pytest.mark.parametrize(
         "config,manifest",
@@ -1398,6 +1415,26 @@ class TestSummarize:
 
 
 class TestCli:
+    @pytest.mark.parametrize(
+        "content, refusal",
+        [
+            ('{"a": 1}', "reports[0]: 'env' is missing"),
+            ("[1, 2]", "reports[0]: [1, 2] is not an object"),
+            (
+                '{"env": "whodunit", "games": 1, "invalid": 0, "mean": {"precision": [1]}, '
+                '"stderr": {}}',
+                "reports[0].mean.precision: [1] is not a finite number",
+            ),
+        ],
+    )
+    def test_summarize_refuses_a_file_that_is_not_a_report(
+        self, tmp_path, capsys, content, refusal
+    ):
+        path = tmp_path / "report.json"
+        path.write_text(content)
+        assert cli_main(["summarize", str(path)]) == 2
+        assert capsys.readouterr().err == f"roguewatch: error: {refusal}\n"
+
     def test_gen_run_summarize_roundtrip(self, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
         assert (

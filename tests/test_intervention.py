@@ -71,14 +71,14 @@ class TestRoundReset:
         state = CommonsState.fresh(config)
         for round_index in range(5):
             harvest_phase(state, {"a": 10.0, "b": 10.0}, seed=round_index)
-            post_discussion(state, "a", f"round {round_index} talk a")
-            post_discussion(state, "b", f"round {round_index} talk b")
+            post_discussion(state, f"round {round_index} talk a")
+            post_discussion(state, f"round {round_index} talk b")
         log_before = [dict(record.harvests) for record in state.history]
         messages_before = len(state.channel)
         round_reset(state)
         assert [record.harvests for record in state.history] == log_before
         assert len(state.channel) == messages_before - 2
-        assert state.channel.messages[-1].kind is MessageKind.SYSTEM
+        assert state.channel.events()[-1][0] is MessageKind.SYSTEM
 
     def test_round_reset_idempotent_at_checkpoint(self):
         config = CommonsConfig(r0=50.0, n_agents=1)

@@ -150,10 +150,10 @@ class TestTemplateTable:
         state = new_game(tiny_spec())
         step(state, Action(MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"))
         step(state, Action(MessageKind.RESPOND, truth=False))
-        request, answer = state.channel.messages
-        assert request.fields == {"target": 1, "property": "hat", "value": "brown"}
-        assert answer.fields == {**request.fields, "truth": False}
-        assert answer.text == render(MessageKind.RESPOND, name="Alex", **answer.fields)
+        (_, request), (_, answer) = state.channel.events()
+        assert request == {"target": 1, "property": "hat", "value": "brown"}
+        assert answer == {**request, "truth": False}
+        assert state.channel.rendered()[1] == render(MessageKind.RESPOND, name="Alex", **answer)
 
 
 class TestStep:
@@ -183,7 +183,7 @@ class TestStep:
             else:
                 step(state, Action(MessageKind.RESPOND, truth=True))
         assert state.outcome is Outcome.TIMEOUT
-        assert len(state.channel.messages) == spec.turn_limit
+        assert len(state.channel.events()) == spec.turn_limit
 
     def test_round_robin_alternates(self):
         state = new_game(tiny_spec())
@@ -289,7 +289,7 @@ class TestRoleTable:
         before = (state.channel.rendered(), state.turn_index, state.next_agent)
         if kind in SENDS[role]:
             step(state, VALID_ACTIONS[kind])
-            assert state.channel.messages[-1].kind is kind
+            assert state.channel.events()[-1][0] is kind
             assert state.turn_index == before[1] + 1
         else:
             with pytest.raises(IllegalActionError, match="cannot send"):
