@@ -1,5 +1,8 @@
 """Agent decision contract, deterministic scripted oracles, and a synthetic
-rogue wrapper with controllable corruption.
+rogue wrapper with controllable corruption. Every backend, these and
+``llm.LlmAgent``, answers ``decide(obs, temperature=None)`` and ``reset()``;
+a resample is one more ``decide`` at the intervention's temperature, which
+only a sampling backend reads.
 
 Scripted agents are stateless: every turn they derive their view of the
 game from the observation alone, its knowledge and the channel's events.
@@ -189,7 +192,7 @@ class ScriptedAccuser:
                     candidates -= listed
         return candidates, confirmed
 
-    def decide(self, obs: AgentObservation) -> AgentDecision:
+    def decide(self, obs: AgentObservation, temperature: Optional[float] = None) -> AgentDecision:
         believed = dict(obs.knowledge.culprit_facts)
         attribute_order = [prop for prop, _ in obs.knowledge.culprit_facts]
         candidates, confirmed = self.survey(obs)
@@ -232,7 +235,7 @@ class ScriptedIntel:
     def reset(self) -> None:
         pass
 
-    def decide(self, obs: AgentObservation) -> AgentDecision:
+    def decide(self, obs: AgentObservation, temperature: Optional[float] = None) -> AgentDecision:
         knowledge = obs.knowledge
         events = obs.events
         pending_kind, pending = events[-1] if events else (None, None)
@@ -290,7 +293,7 @@ class ScriptedSymmetricPlayer:
     def reset(self) -> None:
         pass
 
-    def decide(self, obs: AgentObservation) -> AgentDecision:
+    def decide(self, obs: AgentObservation, temperature: Optional[float] = None) -> AgentDecision:
         public = {e["property"]: e["value"] for kind, e in obs.events if kind is MessageKind.SHARE}
         consistent = _consistent(obs.knowledge, public)
         if len(consistent) == 1:
@@ -413,7 +416,7 @@ class RogueAgent:
         target = self.rng.uniform(*band)
         return (distribution_with_entropy(target),)
 
-    def decide(self, obs: AgentObservation) -> AgentDecision:
+    def decide(self, obs: AgentObservation, temperature: Optional[float] = None) -> AgentDecision:
         corrupted = self.rng.random() < self.profile.epsilon
         behavior = None
         if corrupted:

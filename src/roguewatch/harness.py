@@ -48,6 +48,7 @@ from .core import (
     derive_seed,
     generate_game,
     integer,
+    items,
     number,
     one_of,
     parse_trajectory_jsonl,
@@ -151,10 +152,6 @@ class SplitManifest:
         return cls(obj["env"], obj["train"], obj["validation"], obj["test"], decode)
 
 
-def _spec_key(spec: GameSpec) -> tuple:
-    return tuple(s.assignment for s in spec.suspects), spec.culprit_id
-
-
 def gen_dataset(
     env: str,
     sizes: tuple[Optional[int], Optional[int], Optional[int]] = (None, None, None),
@@ -174,21 +171,15 @@ def gen_dataset(
     if env == "whodunit":
         sizes = tuple(d if n is None else n for n, d in zip(sizes, (210, 90, 180)))
         total = sum(sizes)
-        specs: list[GameSpec] = []
-        seen: set[tuple] = set()
-        index = 0
-        while len(specs) < total:
-            spec = generate_game(
-                variant, n_suspects, turn_limit, derive_seed(seed, "game", index)
-            )
-            index += 1
-            if index > 100 * total:
-                raise InfeasibleRequestError("could not generate enough distinct games")
-            key = _spec_key(spec)
-            if key in seen:
-                continue
-            seen.add(key)
-            specs.append(spec)
+        distinct: dict[tuple, GameSpec] = {}  # the first game of each (profiles, culprit)
+        for index in range(100 * total):
+            if len(distinct) == total:
+                break
+            spec = generate_game(variant, n_suspects, turn_limit, derive_seed(seed, "game", index))
+            distinct.setdefault((tuple(s.assignment for s in spec.suspects), spec.culprit_id), spec)
+        if len(distinct) < total:
+            raise InfeasibleRequestError("could not generate enough distinct games")
+        specs = list(distinct.values())
         train, validation = specs[: sizes[0]], specs[sizes[0] : sizes[0] + sizes[1]]
         return SplitManifest(
             env=env, train=train, validation=validation, test=specs[sizes[0] + sizes[1] :]
@@ -256,30 +247,44 @@ def _own_check(key: str, build: Callable[[], object]) -> object:
 
 def _player(role: str, spec: object) -> Callable[[str, str, GameSpec, int], object]:
     """Read one role's backend spec, like {"type": "rogue", "epsilon": 0.3},
-    refusing by key what it cannot play, into the builder of the role's
-    backend from (agent id, partners, game, game seed). Only the config gate
-    and a game played alone read specs, so a game plays what the gate passed."""
+    refusing by key what it cannot play, into a picklable builder of the
+    role's backend from (agent id, partners, game, game seed). Only the config
+    gate and a game played alone read specs, so a game plays what the gate passed."""
+    from functools import partial
+
     key = f"agents.{role}"
     backend = one_of(f"{key}.type", section(key, spec).get("type", "scripted"), BACKEND_KEYS)
     section(key, spec, BACKEND_KEYS[backend] - (set() if role == ROLE_INTEL else INTEL_ONLY))
     broad = spec.get("broad_for_specific", True)
     if type(broad) is not bool:
         raise ValueError(f"{key}.broad_for_specific: {broad!r} is not a boolean")
-    base = {ROLE_ACCUSER: ScriptedAccuser, ROLE_INTEL: lambda: ScriptedIntel(broad)}.get(
-        role, ScriptedSymmetricPlayer
-    )
-    if backend == "scripted":
-        return lambda agent_id, partners, game, game_seed: base()
+    settings = None
     if backend == "rogue":
-        profile = _own_check(key, lambda: RogueProfile.from_json_obj({"epsilon": 0.0, **spec}))
-        return lambda agent_id, partners, game, game_seed: RogueAgent(
-            profile, base(), game, seed=derive_seed(game_seed, "rogue", agent_id)
-        )
-    from .llm import LlmAgent, LlmClient, LlmConfig
+        settings = _own_check(key, lambda: RogueProfile.from_json_obj({"epsilon": 0.0, **spec}))
+    elif backend == "llm":
+        from .llm import LlmConfig
 
-    config = _own_check(key, lambda: LlmConfig.from_json_obj(spec.get("config")))
-    client = LlmClient(config)  # holds only its config and transport, so agents share it
-    return lambda agent_id, partners, game, game_seed: LlmAgent(client, role, agent_id, partners)
+        settings = _own_check(key, lambda: LlmConfig.from_json_obj(spec.get("config")))
+    return partial(_agent, role, broad, settings)
+
+
+def _agent(role: str, broad_for_specific: bool, settings: object, agent_id: str, partners: str,
+           game: GameSpec, game_seed: int) -> object:
+    """One agent of ``role``: its scripted policy when ``settings`` is None, a rogue
+    over it under a RogueProfile, or an llm agent with its own client under an LlmConfig."""
+    if settings is not None and not isinstance(settings, RogueProfile):
+        from .llm import LlmAgent, LlmClient
+
+        return LlmAgent(LlmClient(settings), role, agent_id, partners)
+    if role == ROLE_ACCUSER:
+        base = ScriptedAccuser()
+    elif role == ROLE_INTEL:
+        base = ScriptedIntel(broad_for_specific)
+    else:
+        base = ScriptedSymmetricPlayer()
+    if settings is None:
+        return base
+    return RogueAgent(settings, base, game, seed=derive_seed(game_seed, "rogue", agent_id))
 
 
 def _monitor_file(role: str, path: str, triggers: bool) -> MonitorModel:
@@ -332,11 +337,12 @@ def check_config(config: ExperimentConfig) -> dict[str, Callable]:
     section("monitor", monitor, MONITOR_KEYS[source], ["paths"] if source == "models" else ())
     if source == "random":
         number("monitor.p", monitor.get("p"), 0, 1)
-    for role, path in section("monitor.paths", monitor.get("paths", {}), roles).items():
+    paths = section("monitor.paths", monitor.get("paths", {}), roles)
+    if source == "models" and not paths:
+        raise ValueError(f"monitor.paths: {paths!r} is empty")
+    for role, path in paths.items():
         string(f"monitor.paths.{role}", path)
-    if not isinstance(config.commons_policies, (list, tuple)):
-        raise ValueError(f"commons_policies: {config.commons_policies!r} is not a list")
-    if not config.commons_policies:
+    if not items("commons_policies", config.commons_policies):
         raise ValueError("commons_policies: no harvester")
     for name in config.commons_policies:
         one_of("commons_policies", name, COMMONS_POLICIES)
@@ -423,7 +429,7 @@ class CommonsEnv:
         self.backends = {"all": self}
         self.game_seed = game_seed
 
-    def decide(self, obs: AgentObservation) -> AgentDecision:
+    def decide(self, obs: AgentObservation, temperature: Optional[float] = None) -> AgentDecision:
         return AgentDecision(action=None, positions=((1.0,) + (0.0,) * 9,))
 
     def _discuss(self) -> None:
@@ -470,13 +476,15 @@ def drive(
 ) -> Trajectory:
     """Play one game to its end, monitoring each decision before the env
     applies it. ``monitor.source`` alone picks each role's scorer: the
-    fitted ``monitors`` under ``models``, which are refused under any other
-    source, or a seeded RandomMonitor per role under ``random``. Under
-    intervention ``none`` nothing is scored, so no random draw is spent."""
+    fitted ``monitors`` under ``models``, required there and refused under
+    any other source, or a seeded RandomMonitor per role under ``random``.
+    Under intervention ``none`` nothing is scored, so no random draw is spent."""
     policy = config.intervention
     source = config.monitor.get("source", "none")
     if monitors is not None and source != "models":
         raise ValueError(f"monitor.source: {source!r} is not 'models'")
+    if source == "models" and not monitors:
+        raise ValueError("monitor.source: 'models' is given no monitors")
     models: dict[str, MonitorModel | RandomMonitor] = {}
     if policy.kind is not InterventionKind.NONE:
         if source == "random":
@@ -500,10 +508,7 @@ def drive(
                     model.predict_success(features), model.tau, budget, obs.role
                 )
             if fired and resample:
-                if hasattr(backend, "resample"):
-                    decision = backend.resample(obs, temperature=policy.resample_temperature)
-                else:
-                    decision = backend.decide(obs)
+                decision = backend.decide(obs, temperature=policy.resample_temperature)
                 features = extract_features(decision.positions, obs.turn_index)
         except MalformedGenerationError:
             decision = features = None

@@ -416,7 +416,9 @@ class LlmAgent:
         )
 
     def _system_prompt(self, obs) -> str:
-        attributes = ", ".join(sorted({p for p, _ in _schema_pairs(obs)}))
+        table = obs.knowledge.suspect_table  # an accuser has none but knows every culprit fact
+        pairs = table[0].assignment if table else obs.knowledge.culprit_facts
+        attributes = ", ".join(sorted({p for p, _ in pairs}))
         if self.role == ROLE_ACCUSER:
             return _load_prompt("asym_accuser_system.txt").format(
                 NAME=self.agent_id,
@@ -461,14 +463,3 @@ class LlmAgent:
             )
             action = self._parse(text)  # second failure propagates
         return AgentDecision(action=action, positions=tuple(positions))
-
-    def resample(self, obs, temperature: Optional[float] = None):
-        """Re-invocation after a discarded decision, optionally at a raised
-        temperature (a temperature-0 resample would reproduce the discard)."""
-        return self.decide(obs, temperature=temperature)
-
-
-def _schema_pairs(obs):
-    if obs.knowledge.suspect_table:
-        return list(obs.knowledge.suspect_table[0].assignment)
-    return list(obs.knowledge.culprit_facts)

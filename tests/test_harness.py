@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import pickle
 import re
 import statistics
 import threading
@@ -421,6 +422,16 @@ REFUSED = [
     ({"agents": {"accuser": {"type": "llm",
                              "config": {**LLM_CONFIG, "endpoint": "http://h:99999/v1"}}}},
      "asymmetric", "agents.accuser.config.endpoint: 'http://h:99999/v1' is not an http"),
+    # Models must name at least one monitor file.
+    (
+        {
+            "agents": {"accuser": {"type": "rogue", "epsilon": 1.0}},
+            "monitor": {"source": "models", "paths": {}},
+            "intervention": {"kind": "full-reset", "cap": 1},
+        },
+        "asymmetric",
+        "monitor.paths: {} is empty",
+    ),
 ]
 
 
@@ -587,6 +598,31 @@ class TestConfigGate:
                 spec = config.agents.get(state.role_of(agent_id), {})
                 kind = {"rogue": agents.RogueAgent, "llm": llm.LlmAgent}.get(spec.get("type"))
                 assert kind is None or isinstance(backend, kind)
+
+
+    @pytest.mark.parametrize("obj", [obj for obj in VALID if obj.get("env") != "commons"])
+    def test_a_runs_builders_pickle(self, obj):
+        """The builders the gate returns survive a pickle round trip as the
+        same function and bound values, and agents built by the copies play
+        the same bytes as agents built by the originals."""
+        config = ExperimentConfig.from_json_obj(obj)
+        players = check_config(config)
+        copies = pickle.loads(pickle.dumps(players))
+        assert list(copies) == list(players)
+        for role, player in players.items():
+            assert (copies[role].func, copies[role].args) == (player.func, player.args)
+        if any(spec.get("type") == "llm" for spec in config.agents.values()):
+            return
+        paths = config.monitor.get("paths", {})
+        monitors = {r: MonitorModel.from_json_obj({**MONITOR_FILE, "role": r}) for r in paths}
+        for seed, game in enumerate(MANIFESTS[config.variant]().test):
+            logs = [
+                run_whodunit_game(
+                    game, replace(config, agents=builders), seed, monitors=monitors or None
+                ).to_jsonl()
+                for builders in (players, copies)
+            ]
+            assert logs[0] == logs[1]
 
 
 class TestTraining:
@@ -1109,6 +1145,68 @@ class TestMonitoredRuns:
                 100.0, commons, 5, monitors={"harvester": replace(accuser, role="harvester")}
             )
         assert observed == []
+
+    def test_models_without_monitors_refused(self, monkeypatch):
+        """A game played alone under monitor.source 'models' refuses to play
+        when it is given no monitors, before any turn."""
+        observed = []
+        for env in (harness.WhodunitEnv, harness.CommonsEnv):
+            counted = lambda self, real=env.observe: observed.append(1) or real(self)
+            monkeypatch.setattr(env, "observe", counted)
+        whodunit = ExperimentConfig(
+            agents={"accuser": {"type": "rogue", "epsilon": 1.0}},
+            monitor={"source": "models"},
+            intervention=InterventionPolicy(kind=InterventionKind.FULL_RESET, cap_per_role=1),
+        )
+        commons = ExperimentConfig(
+            env="commons",
+            monitor={"source": "models"},
+            intervention=InterventionPolicy(kind=InterventionKind.ROUND_RESET, cap_per_role=1),
+        )
+        refusal = "^monitor.source: 'models' is given no monitors$"
+        spec = small_manifest(1, 1, 1).test[0]
+        for monitors in (None, {}):
+            with pytest.raises(ValueError, match=refusal):
+                run_whodunit_game(spec, whodunit, game_seed=5, monitors=monitors)
+            with pytest.raises(ValueError, match=refusal):
+                harness.run_commons_trial(100.0, commons, 5, monitors=monitors)
+        assert observed == []
+
+    def test_an_llm_resample_decides_again_at_the_resample_temperature(
+        self, tmp_path, monkeypatch
+    ):
+        """A resample trigger on an llm accuser sends one request at the
+        intervention's resample_temperature; every other request carries
+        the config's temperature."""
+        manifest = small_manifest(0, 0, 1)
+        oracle = oracle_transport(manifest.test, [])
+        requests = []
+
+        def transport(config, payload):
+            """The oracle, answering every prompt as one that carries the
+            format reminder, so no decision needs a format retry."""
+            requests.append(payload["temperature"])
+            system, user = (m["content"] for m in payload["messages"])
+            messages = [{"content": system}, {"content": user + llm.FORMAT_REMINDER}]
+            return oracle(config, {**payload, "messages": messages})
+
+        monkeypatch.setattr(llm, "_http_transport", transport)
+        path = tmp_path / "accuser.json"  # a monitor that predicts failure on every turn
+        path.write_text(replace(self.handmade_monitor(), weights=(0.0, 0.0, 0.0)).to_json())
+        config = ExperimentConfig(
+            agents={"accuser": {"type": "llm", "config": LLM_CONFIG}},
+            monitor={"source": "models", "paths": {"accuser": str(path)}},
+            intervention=InterventionPolicy(
+                kind=InterventionKind.RESAMPLE, cap_per_role=1, resample_temperature=0.7
+            ),
+        )
+        report = run_experiment(config, manifest, split="test", output_dir=tmp_path / "out")
+        assert report["invalid"] == 0
+        assert requests.count(0.7) == 1 and set(requests) == {0.0, 0.7}
+        [game] = parse_trajectory_jsonl((tmp_path / "out" / "trajectories.jsonl").read_text())
+        fired = [t for t in game["turns"] if t["trigger"]]
+        assert [(t["role"], t["intervention"]) for t in fired] == [("accuser", "resample")]
+        assert fired[0] is next(t for t in game["turns"] if t["role"] == "accuser")
 
     @pytest.mark.parametrize(
         "config,manifest",

@@ -534,5 +534,5 @@ class TestLlmAgent:
 
         agent = LlmAgent(LlmClient(CONFIG, transport=transport), "accuser", "Beth", "Alex")
         agent.decide(self.make_obs())
-        agent.resample(self.make_obs(), temperature=0.7)
+        agent.decide(self.make_obs(), temperature=0.7)
         assert temperatures == [0.0, 0.7]
