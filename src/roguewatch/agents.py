@@ -7,8 +7,9 @@ only a sampling backend reads.
 Scripted agents are stateless: every turn they derive their view of the
 game from the observation alone, its knowledge and the channel's events.
 That makes them trivially consistent after channel rollbacks and makes
-resampling a deterministic no-op. An observation built from text alone (a
-prompt, a replayed transcript) parses its lines once into the same events.
+resampling a deterministic no-op. The game hands agents events, never
+text; an observation built from text alone (a prompt read back, a replayed
+transcript) parses its ``channel_view`` lines once into the same events.
 
 The rogue wrapper is a test instrument: it receives the ground-truth
 GameSpec so its corruption can be made failure-forcing, which real agents
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import InitVar, dataclass, replace
 from typing import Optional, Sequence
 
 from .core import GameSpec, MessageKind, number, one_of, pair, section
@@ -42,29 +43,31 @@ _ONE_HOT_10 = (1.0,) + (0.0,) * 9
 @dataclass(frozen=True)
 class AgentObservation:
     """Everything an agent may condition on: its private knowledge, the
-    rendered channel and its events, and the public game parameters.
+    channel's events and the public game parameters.
 
     ``events`` holds one (kind, fields) pair per channel message; the fields
-    dicts are the channel's own, so agents must not mutate them. Built
-    without ``events``, an observation derives them from ``channel_view``."""
+    dicts are the channel's own, so agents must not mutate them. An
+    observation built from text alone (a prompt read back, a replayed
+    transcript) passes the rendered lines as ``channel_view`` and no
+    ``events``, and derives them from the lines."""
 
     knowledge: KnowledgeSet
-    channel_view: tuple[str, ...]
     turn_index: int
     turn_limit: int
     role: str
     n_suspects: int
     events: Optional[tuple[tuple[MessageKind, dict], ...]] = None
+    channel_view: InitVar[Sequence[str]] = ()
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, channel_view: Sequence[str]) -> None:
         if self.events is None:
-            object.__setattr__(self, "events", _events_from_text(self.channel_view))
+            object.__setattr__(self, "events", _events_from_text(channel_view))
 
 
 def _events_from_text(channel_view: Sequence[str]) -> tuple[tuple[MessageKind, dict], ...]:
     """The events of rendered channel lines, as the channel itself records
-    them: each parsed line's kind and fields without the sender's name, and
-    a yes/no respond with the property of the request line before it."""
+    them: each parsed line's kind and fields, and a yes/no respond with the
+    property of the request line before it."""
     events = []
     request: Optional[dict] = None
     for line in channel_view:
@@ -72,7 +75,6 @@ def _events_from_text(channel_view: Sequence[str]) -> tuple[tuple[MessageKind, d
         if fields is None:
             continue
         kind = fields.pop("kind")
-        fields.pop("name", None)
         if kind is MessageKind.REQUEST_SPECIFIC:
             request = fields
         elif kind is MessageKind.RESPOND and request is not None:

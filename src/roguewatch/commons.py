@@ -94,17 +94,14 @@ def harvest_phase(state: CommonsState, requests: dict[str, float], seed: int) ->
         )
     )
     summary = ", ".join(f"{agent} took {taken[agent]:g}" for agent in sorted(taken))
-    state.channel.append(
-        MessageKind.SYSTEM,
-        f"Round {state.round_index} harvest complete: {summary}. "
-        f"Remaining fish: {state.stock:g}.",
-        irreversible=True,
-    )
+    text = (f"Round {state.round_index} harvest complete: {summary}. "
+            f"Remaining fish: {state.stock:g}.")
+    state.channel.append(MessageKind.SYSTEM, {"text": text}, irreversible=True)
 
 
 def post_discussion(state: CommonsState, text: str) -> None:
     """Append one free-form discussion message (reversible); its text names its author."""
-    state.channel.append(MessageKind.DISCUSSION, text)
+    state.channel.append(MessageKind.DISCUSSION, {"text": text})
 
 
 def regrow(state: CommonsState) -> None:

@@ -343,13 +343,12 @@ def generate_game(
 class CommunicationChannel:
     """Ordered message log with checkpoint marks at irreversible boundaries.
 
-    Each message is kept once, as its rendered line and its ``(kind,
-    fields)`` event. The prefix up to the last checkpoint is immutable:
-    every rollback operation refuses to cross it.
+    Each message is kept once, as its ``(kind, fields)`` event; a message's
+    text is rendered only where text is read. The prefix up to the last
+    checkpoint is immutable: every rollback operation refuses to cross it.
     """
 
     def __init__(self) -> None:
-        self._rendered: list[str] = []  # each message's text
         self._events: list[tuple[MessageKind, dict]] = []  # each message's kind and fields
         self._checkpoints: list[int] = []
 
@@ -358,27 +357,21 @@ class CommunicationChannel:
         return tuple(self._checkpoints)
 
     def __len__(self) -> int:
-        return len(self._rendered)
+        return len(self._events)
 
     @property
     def last_checkpoint(self) -> int:
         """Index (message count) of the last irreversible boundary, 0 if none."""
         return self._checkpoints[-1] if self._checkpoints else 0
 
-    def append(self, kind: MessageKind, text: str, fields: Optional[dict] = None,
-               irreversible: bool = False) -> None:
-        self._rendered.append(text)
-        self._events.append((kind, {} if fields is None else fields))
+    def append(self, kind: MessageKind, fields: dict, irreversible: bool = False) -> None:
+        self._events.append((kind, fields))
         if irreversible:
-            self._checkpoints.append(len(self._rendered))
+            self._checkpoints.append(len(self._events))
 
     def rollback_to_checkpoint(self) -> None:
         """Remove every message after the last checkpoint."""
-        for kept in (self._rendered, self._events):
-            del kept[self.last_checkpoint :]
-
-    def rendered(self) -> list[str]:
-        return self._rendered.copy()
+        del self._events[self.last_checkpoint :]
 
     def events(self) -> tuple[tuple[MessageKind, dict], ...]:
         """Each message's kind and its own fields dict, which callers must not mutate."""

@@ -142,6 +142,7 @@ class SplitManifest:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SplitManifest":
+        section("manifest", obj, None, ("env", "train", "validation", "test"))
         decode = None
         if obj["env"] == "whodunit":
             if "schema" not in obj:
@@ -381,7 +382,6 @@ class WhodunitEnv:
         agent = state.next_agent
         return agent, AgentObservation(
             knowledge=state.knowledge[agent],
-            channel_view=tuple(state.channel.rendered()),
             turn_index=state.turn_index,
             turn_limit=state.spec.turn_limit,
             role=state.role_of(agent),
@@ -444,7 +444,6 @@ class CommonsEnv:
         self._discuss()
         return "all", AgentObservation(
             knowledge=None,
-            channel_view=tuple(state.channel.rendered()),
             turn_index=state.round_index,
             turn_limit=self.config.m,
             role="harvester",
@@ -700,23 +699,27 @@ def run_experiment(
     return report
 
 
-def records_from_games(games: Sequence[dict], role: str) -> list[GameRecord]:
+def records_from_games(games: Sequence[dict], role: str, log: str = "log") -> list[GameRecord]:
     """The per-game records of one role, from games parsed by
     ``parse_trajectory_jsonl``: the features of the role's monitored turns,
     labeled positive when the whodunit game succeeded or the commons trial
     survived. Games containing any intervention are dropped; game ids are
-    positions in the log."""
+    positions in the log. A turn that cannot be read is refused as
+    ``<log>: game <g> turn <t>: <defect>``, its turn counted from 0 too."""
     records = []
     for index, game in enumerate(games):
-        if any(t.get("intervention") for t in game["turns"]):
-            continue
-        label = _succeeded(game)
-        features = tuple(
-            FeatureVector.from_json_obj(t["features"])
-            for t in game["turns"]
-            if t["role"] == role and t["features"] is not None
-        )
-        records.append(GameRecord(features=features, label=label, game_id=str(index)))
+        features, at = [], 0
+        try:
+            for at, turn in enumerate(game["turns"]):
+                if turn.get("intervention"):
+                    break
+                if turn["role"] == role and turn["features"] is not None:
+                    features.append(FeatureVector.from_json_obj(turn["features"]))
+            else:
+                records.append(GameRecord(tuple(features), _succeeded(game), str(index)))
+        except (AttributeError, KeyError, TypeError, ValueError) as exc:
+            defect = f"{exc.args[0]!r} is missing" if type(exc) is KeyError else exc
+            raise ValueError(f"{log}: game {index} turn {at}: {defect}") from None
     return records
 
 
@@ -731,9 +734,9 @@ def train_monitor_from_logs(
     monitor. Raises InsufficientDataError when one outcome class is absent
     among the training games with a monitored turn (a monitor cannot be
     trained where no game ever succeeds or fails)."""
-    train = records_from_games(parse_trajectory_jsonl(Path(train_path).read_text()), role)
-    validation = records_from_games(
-        parse_trajectory_jsonl(Path(validation_path).read_text()), role
+    train, validation = (
+        records_from_games(parse_trajectory_jsonl(Path(path).read_text()), role, log)
+        for path, log in ((train_path, "train"), (validation_path, "validation"))
     )
     labels = {float(game.label) for game in train if game.features}
     if labels != {0.0, 1.0}:

@@ -36,7 +36,7 @@ from typing import Callable, Optional, Sequence
 
 from .core import MessageKind, integer, number, section, string
 from .errors import ApiError, MalformedGenerationError
-from .whodunit import ROLE_ACCUSER, ROLE_INTEL, ROLE_KINDS, Action
+from .whodunit import ROLE_ACCUSER, ROLE_INTEL, ROLE_KINDS, Action, render
 
 logger = logging.getLogger("roguewatch.llm")
 
@@ -393,11 +393,13 @@ class LlmAgent:
 
     def _prompts(self, obs) -> tuple[str, str]:
         """The system prompt, rendered once per knowledge set, and this
-        turn's user prompt."""
+        turn's user prompt, whose channel lines are rendered here from the
+        observation's events."""
         if self._system is None or self._system[0] is not obs.knowledge:
             self._system = (obs.knowledge, self._system_prompt(obs))
         system = self._system[1]
-        channel = "\n".join(obs.channel_view) if obs.channel_view else "(empty)"
+        lines = [render(kind, **fields) for kind, fields in obs.events]
+        channel = "\n".join(lines) if lines else "(empty)"
         if self.role in (ROLE_ACCUSER, ROLE_INTEL):
             return system, _load_prompt("asym_user.txt").format(
                 COMMUNICATION_CHANNEL=channel,

@@ -2,12 +2,13 @@
 each role may send, one validate rule per kind, knowledge distribution
 and termination.
 
-The rendered messages are a wire format. Each message also keeps the
-fields it was rendered from, and the channel hands those to agents as its
-events, so an event carries exactly what its line says. ``parse_rendered``
-serves the interfaces that have only text (prompts, replayed transcripts).
-One template table, ``TEMPLATES``, drives both rendering and parsing, so
-the exact strings in it are load-bearing and covered by tests.
+The channel keeps each message once, as its kind and fields (the sender's
+``name`` among them), and renders no text: agents read those events. The
+rendered lines are a wire format, made by :func:`render` only where text
+is read (an LLM prompt). ``parse_rendered`` serves the interfaces that
+have only text (replayed transcripts, prompts read back). One template
+table, ``TEMPLATES``, drives both rendering and parsing, so the exact
+strings in it are load-bearing and covered by tests.
 """
 
 from __future__ import annotations
@@ -311,7 +312,7 @@ _KIND_RULES = {
 
 
 def step(state: WhodunitState, action: Action) -> None:
-    """Apply the next agent's action: validate, render, append, terminate.
+    """Apply the next agent's action: validate, append, terminate.
 
     Accusations end the game immediately; hitting the turn limit without an
     accusation is a timeout. Raises IllegalActionError on malformed or
@@ -325,8 +326,8 @@ def step(state: WhodunitState, action: Action) -> None:
     fields = _KIND_RULES[action.prime](state, agent, action)
 
     accusing = action.prime is MessageKind.ACCUSE
-    text = render(action.prime, name=agent, **fields)
-    state.channel.append(action.prime, text, fields, irreversible=accusing)
+    # The sender's name wins over a name a respond copies from its request.
+    state.channel.append(action.prime, {**fields, "name": agent}, irreversible=accusing)
     if accusing:
         state.accused_id = action.target
         state.outcome = (

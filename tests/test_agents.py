@@ -25,6 +25,7 @@ from roguewatch.uncertainty import entropy
 from roguewatch.whodunit import Action, new_game, step
 
 from .analytic_oracle import elimination_query_cost, predicted_success
+from .test_whodunit import rendered
 
 
 def scripted_config(**overrides) -> ExperimentConfig:
@@ -116,7 +117,7 @@ class TestScriptedPair:
         intel = ScriptedIntel(broad_for_specific=False)
         obs = AgentObservation(
             knowledge=state.knowledge["Alex"],
-            channel_view=tuple(state.channel.rendered()),
+            channel_view=rendered(state.channel),
             turn_index=2,
             turn_limit=31,
             role="intel",
@@ -134,7 +135,7 @@ class TestScriptedPair:
         intel = ScriptedIntel()
         obs = AgentObservation(
             knowledge=state.knowledge["Alex"],
-            channel_view=tuple(state.channel.rendered()),
+            channel_view=rendered(state.channel),
             turn_index=2,
             turn_limit=31,
             role="intel",
@@ -154,7 +155,7 @@ class TestScriptedPair:
         intel = ScriptedIntel()
         obs = AgentObservation(
             knowledge=state.knowledge["Alex"],
-            channel_view=tuple(state.channel.rendered()),
+            channel_view=rendered(state.channel),
             turn_index=2,
             turn_limit=31,
             role="intel",
@@ -227,7 +228,7 @@ class TestRogue:
     def make_obs(self, spec, state):
         return AgentObservation(
             knowledge=state.knowledge["Beth"],
-            channel_view=tuple(state.channel.rendered()),
+            channel_view=rendered(state.channel),
             turn_index=state.turn_index,
             turn_limit=spec.turn_limit,
             role="accuser",
@@ -389,7 +390,7 @@ class TestRogue:
         step(state, Action(MessageKind.REQUEST_SPECIFIC, target=2, prop="hat", value="brown"))
         obs = AgentObservation(
             knowledge=state.knowledge["Alex"],
-            channel_view=tuple(state.channel.rendered()),
+            channel_view=rendered(state.channel),
             turn_index=state.turn_index,
             turn_limit=spec.turn_limit,
             role="intel",

@@ -27,8 +27,13 @@ from roguewatch.errors import InfeasibleRequestError
 from roguewatch.harness import SplitManifest, gen_dataset
 
 
-def msg(i: int, kind: MessageKind = MessageKind.DISCUSSION) -> tuple[MessageKind, str]:
-    return kind, f"m{i}"
+def msg(i: int, kind: MessageKind = MessageKind.DISCUSSION) -> tuple[MessageKind, dict]:
+    return kind, {"text": f"m{i}"}
+
+
+def rendered(ch: CommunicationChannel) -> list[str]:
+    """The channel's lines: the text of each message's event."""
+    return [fields["text"] for _, fields in ch.events()]
 
 
 class TestSchema:
@@ -234,13 +239,12 @@ class TestManifestFormat:
         with pytest.raises(ValueError, match="regenerate"):
             SplitManifest.from_json_obj(old)
 
-
 class TestChannel:
     def test_append_preserves_order(self):
         ch = CommunicationChannel()
         ch.append(*msg(1))
         ch.append(*msg(2))
-        assert ch.rendered() == ["m1", "m2"]
+        assert rendered(ch) == ["m1", "m2"]
         assert ch.checkpoints == ()
 
     def test_irreversible_append_places_checkpoint_at_tail(self):
@@ -263,7 +267,7 @@ class TestChannel:
         ch.append(*msg(3))
         ch.append(*msg(4))
         ch.rollback_to_checkpoint()
-        assert ch.rendered() == ["m0", "m1", "m2"]
+        assert rendered(ch) == ["m0", "m1", "m2"]
 
     def test_prefix_immutable_under_random_ops(self):
         # Property: for any sequence of appends and rollbacks, the prefix up
@@ -273,14 +277,14 @@ class TestChannel:
             ch = CommunicationChannel()
             counter = 0
             for _ in range(rng.randint(1, 40)):
-                frozen = ch.rendered()[: ch.last_checkpoint]
+                frozen = rendered(ch)[: ch.last_checkpoint]
                 op = rng.random()
                 if op < 0.5:
                     ch.append(*msg(counter), irreversible=rng.random() < 0.2)
                     counter += 1
                 else:
                     ch.rollback_to_checkpoint()
-                assert ch.rendered()[: len(frozen)] == frozen
+                assert rendered(ch)[: len(frozen)] == frozen
                 assert list(ch.checkpoints) == sorted(set(ch.checkpoints))
                 assert all(c <= len(ch) for c in ch.checkpoints)
 
@@ -290,21 +294,20 @@ class TestChannel:
         rng = random.Random(25)
         for _ in range(200):
             ch = CommunicationChannel()
-            model, checkpoint = [], 0  # (kind, text, fields) of each kept message
+            model, checkpoint = [], 0  # (kind, fields) of each kept message
             for counter in range(rng.randint(1, 40)):
                 if rng.random() < 0.6:
-                    kind, text = msg(counter)
-                    fields = {"n": counter}
+                    kind, fields = msg(counter)
                     irreversible = rng.random() < 0.1
-                    ch.append(kind, text, fields, irreversible=irreversible)
-                    model.append((kind, text, fields))
+                    ch.append(kind, fields, irreversible=irreversible)
+                    model.append((kind, fields))
                     checkpoint = len(model) if irreversible else checkpoint
                 else:
                     ch.rollback_to_checkpoint()
                     del model[checkpoint:]
-                assert ch.rendered() == [text for _, text, _ in model]
-                assert ch.events() == tuple((kind, fields) for kind, _, fields in model)
-                assert all(e[1] is m[2] for e, m in zip(ch.events(), model))
+                assert rendered(ch) == [fields["text"] for _, fields in model]
+                assert ch.events() == tuple(model)
+                assert all(e[1] is m[1] for e, m in zip(ch.events(), model))
 
 
 class TestTrajectorySerialization:

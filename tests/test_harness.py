@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import pickle
@@ -248,6 +249,11 @@ class TestRunExperiment:
 
 ROGUE = {"type": "rogue", "epsilon": 0.3}
 LLM_CONFIG = {"endpoint": "http://127.0.0.1:9/v1", "model": "m"}
+# The sha256 of every (system, user) pair the prompt-pinning games send.
+PROMPT_DIGESTS = {
+    "asymmetric": "3dcbe6a86c8392e0c374015fb66bc188b0dce1aff0b1fadfb5ffedf00f02f19a",
+    "symmetric": "eca1e5d83d7c6c21066957a50bd6696b1fdb748ec660a26691dfea6edfa2ca87",
+}
 SUSTAINABLE = ["sustainable"] * 3
 MANIFESTS = {
     "asymmetric": lambda: small_manifest(1, 1, 2),
@@ -757,6 +763,37 @@ class TestTraining:
                 tmp_path / "train.jsonl", tmp_path / "val.jsonl", role="accuser"
             )
 
+    @pytest.mark.parametrize(
+        "edit, defect",
+        [
+            (lambda turn: {**turn, "features": {"entropy": 0.2, "kurtosis": 0.0, "turn": 2}},
+             "'varentropy' is missing"),
+            (lambda turn: {key: v for key, v in turn.items() if key != "role"}, "'role' is missing"),
+            (lambda turn: {**turn, "features": [1]}, "list indices must be integers"),
+            (lambda turn: {**turn, "features": {**turn["features"], "entropy": math.nan}},
+             "feature statistics must be finite"),
+            (lambda turn: [1], "'list' object has no attribute 'get'"),
+        ],
+        ids=["no-varentropy", "no-role", "listed-features", "nan-entropy", "listed-turn"],
+    )
+    @pytest.mark.parametrize("log", ["train", "validation"])
+    def test_a_malformed_log_is_refused_by_game_and_turn(self, log, edit, defect, tmp_path):
+        fv, game = self.fv, self.game
+        games = [
+            game(outcome, [("accuser", fv(0.1 * i, 1), None), ("intel", fv(0.2, 2), None)])
+            for i, outcome in enumerate([Outcome.SUCCESS, Outcome.TIMEOUT] * 2)
+        ]
+        paths = {}
+        for name in ("train", "validation"):
+            lines = [json.loads(line) for line in "".join(t.to_jsonl() for t in games).splitlines()]
+            if name == log:  # game 2's turn 1: each game is two turns and a summary line
+                lines[7] = edit(lines[7])
+            paths[name] = tmp_path / f"{name}.jsonl"
+            paths[name].write_text("".join(json.dumps(line) + "\n" for line in lines))
+        with pytest.raises(ValueError) as refused:
+            train_monitor_from_logs(paths["train"], paths["validation"], role="intel")
+        assert str(refused.value).startswith(f"{log}: game 2 turn 1: {defect}")
+
     def test_ablation_export(self, tmp_path):
         manifest = small_manifest(25, 10, 2)
         config = self.rogue_config()
@@ -1035,6 +1072,36 @@ class TestLlmPath:
         # Each game's system prompts are rendered once, though every turn
         # and retry sends them.
         assert sorted(rendered) == ["describe_suspects"] * 6 + ["describe_winner"] * 6
+
+    @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
+    def test_prompt_bytes_are_pinned(self, variant, monkeypatch):
+        """The prompts are where channel text is made, so one sha256 pins
+        every (system, user) pair a few games send. The asymmetric games
+        include a yes/no intel, whose answer lines name the intel and not
+        the accuser whose request they answer."""
+        calls: list = []
+        llm_spec = {"type": "llm", "config": LLM_CONFIG}
+        if variant == "asymmetric":
+            manifest = small_manifest(0, 0, 3)
+            monkeypatch.setattr(llm, "_http_transport", oracle_transport(manifest.test, calls))
+            yes_no = {"type": "scripted", "broad_for_specific": False}
+            runs = [{"accuser": llm_spec, "intel": intel} for intel in (yes_no, llm_spec)]
+        else:
+            manifest = gen_dataset(
+                "whodunit", sizes=(0, 0, 3), seed=11, variant=variant, turn_limit=12
+            )
+            share_first = _completion('{"action": 1, "fact": 1}')
+            monkeypatch.setattr(
+                llm, "_http_transport", lambda config, payload: calls.append(payload) or share_first
+            )
+            runs = [{"player": llm_spec}]
+        for agents in runs:
+            config = ExperimentConfig(variant=variant, agents=agents, parallelism=1)
+            assert run_experiment(config, manifest, split="test")["invalid"] == 0
+        pairs = [[m["content"] for m in payload["messages"]] for payload in calls]
+        assert len(pairs) == {"asymmetric": 62, "symmetric": 36}[variant]
+        digest = hashlib.sha256(json.dumps(pairs).encode()).hexdigest()
+        assert digest == PROMPT_DIGESTS[variant]
 
 
 class TestMonitoredRuns:
@@ -1332,7 +1399,8 @@ class TestPatchedNames:
             render(MessageKind.RESPOND, name="Alex", target=2, truth=False, value="b"),
             "free-form chatter",
         )
-        AgentObservation(None, view, 1, 10, ROLE_ACCUSER, 6)
+        AgentObservation(knowledge=None, turn_index=1, turn_limit=10, role=ROLE_ACCUSER,
+                         n_suspects=6, channel_view=view)
         assert lines == list(view)
 
 
@@ -1346,7 +1414,10 @@ class TestChannelEvents:
 
         def checked(env):
             agent, obs = observe(env)
-            seen.append((obs.events, replace(obs, events=None).events))
+            lines = [render(kind, **fields) for kind, fields in obs.events]
+            from_text = AgentObservation(obs.knowledge, obs.turn_index, obs.turn_limit, obs.role,
+                                         obs.n_suspects, channel_view=lines)
+            seen.append((obs.events, from_text.events))
             return agent, obs
 
         monkeypatch.setattr(harness.WhodunitEnv, "observe", checked)
@@ -1613,12 +1684,21 @@ class TestCli:
             ("gen-dataset", "test size"),
             ("run", "intervention.cap"),
             ("run", "agents.accuser"),
+            ("run", "manifest: [1] is not an object"),
+            ("run", "manifest: 'train' is missing"),
+            ("train-monitor", "train: game 0 turn 0: 'role' is missing"),
         ],
     )
     def test_refusal_prints_one_line(self, command, key, tmp_path, capsys):
         manifest_path = tmp_path / "manifest.json"
         sizes = ["--train", "0", "--validation", "0", "--test", "2"]
         assert cli_main(["gen-dataset", *sizes, "--out", str(manifest_path)]) == 0
+        if key.startswith("manifest"):
+            manifest = json.loads(manifest_path.read_text())
+            del manifest["train"]
+            manifest_path.write_text("[1]" if "[1]" in key else json.dumps(manifest))
+        log_path = tmp_path / "log.jsonl"
+        log_path.write_text('{"turn": 1, "features": null}\n{"outcome": "success", "length": 1}\n')
         config_path = tmp_path / "config.json"
         config = {
             "intervention.cap": {"intervention": {"kind": "full-reset", "cap": "2"}},
@@ -1630,6 +1710,8 @@ class TestCli:
         argv = {
             "run": ["run", "--config", str(config_path), "--manifest", str(manifest_path)],
             "gen-dataset": ["gen-dataset", "--env", "commons", "--test", "4"],
+            "train-monitor": ["train-monitor", "--train", str(log_path), "--validation",
+                              str(log_path), "--role", "accuser"],
         }[command]
         assert cli_main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err

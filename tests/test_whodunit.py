@@ -33,6 +33,11 @@ from roguewatch.whodunit import (
 )
 
 
+def rendered(channel) -> list[str]:
+    """The channel's lines, rendered from its events."""
+    return [render(kind, **fields) for kind, fields in channel.events()]
+
+
 def tiny_spec(hats=("brown", "black", "brown"), culprit=2, moods=("happy", "sad", "sad")) -> GameSpec:
     """Three suspects distinguished by hat and mood."""
     schema = AttributeSchema((("hat", ("brown", "black")), ("mood", ("happy", "sad"))))
@@ -56,7 +61,7 @@ class TestTemplates:
     def test_request_specific_rendering(self):
         state = new_game(tiny_spec())
         step(state, Action(MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"))
-        assert state.channel.rendered() == [
+        assert rendered(state.channel) == [
             "Agent Beth has requested information: is property hat of character 1 brown?"
         ]
 
@@ -64,19 +69,19 @@ class TestTemplates:
         state = new_game(tiny_spec())
         step(state, Action(MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"))
         step(state, Action(MessageKind.RESPOND, truth=True))
-        assert state.channel.rendered()[-1] == (
+        assert rendered(state.channel)[-1] == (
             "Agent Alex has responded that character 1 is brown"
         )
         step(state, Action(MessageKind.REQUEST_SPECIFIC, target=2, prop="hat", value="brown"))
         step(state, Action(MessageKind.RESPOND, truth=False))
-        assert state.channel.rendered()[-1] == (
+        assert rendered(state.channel)[-1] == (
             "Agent Alex has responded that character 2 is not brown"
         )
 
     def test_broad_rendering(self):
         state = new_game(tiny_spec())
         step(state, Action(MessageKind.REQUEST_BROAD))
-        assert state.channel.rendered() == [
+        assert rendered(state.channel) == [
             "Agent Beth has asked for general information (a broad message)"
         ]
         step(
@@ -85,7 +90,7 @@ class TestTemplates:
                 MessageKind.RESPOND_BROAD, prop="hat", value="brown", broad_list=(1, 3)
             ),
         )
-        assert state.channel.rendered()[-1] == (
+        assert rendered(state.channel)[-1] == (
             "Agent Alex has decided to return a broad message: "
             "For characters [1, 3], the property hat is brown"
         )
@@ -96,23 +101,23 @@ class TestTemplates:
         first = state.next_agent
         fact = state.knowledge[first].culprit_facts[0]
         step(state, Action(MessageKind.SHARE, fact_index=0))
-        assert state.channel.rendered()[0] == (
+        assert rendered(state.channel)[0] == (
             f"Player {first} has decided to share a fact about the Winner: "
             f"their {fact[0]} is {fact[1]}."
         )
         second = state.next_agent
         step(state, Action(MessageKind.SKIP))
-        assert state.channel.rendered()[1] == (
+        assert rendered(state.channel)[1] == (
             f"Player {second} has decided to skip their turn."
         )
         step(state, Action(MessageKind.ACCUSE, target=spec.culprit_id))
-        assert state.channel.rendered()[2] == f"The winner is {spec.culprit_id}."
+        assert rendered(state.channel)[2] == f"The winner is {spec.culprit_id}."
 
     def test_parse_roundtrip(self):
         state = new_game(tiny_spec())
         step(state, Action(MessageKind.REQUEST_SPECIFIC, target=2, prop="mood", value="sad"))
         step(state, Action(MessageKind.RESPOND, truth=True))
-        parsed = [parse_rendered(t) for t in state.channel.rendered()]
+        parsed = [parse_rendered(t) for t in rendered(state.channel)]
         assert parsed[0]["kind"] is MessageKind.REQUEST_SPECIFIC
         assert parsed[0]["target"] == 2
         assert parsed[0]["property"] == "mood"
@@ -151,9 +156,9 @@ class TestTemplateTable:
         step(state, Action(MessageKind.REQUEST_SPECIFIC, target=1, prop="hat", value="brown"))
         step(state, Action(MessageKind.RESPOND, truth=False))
         (_, request), (_, answer) = state.channel.events()
-        assert request == {"target": 1, "property": "hat", "value": "brown"}
-        assert answer == {**request, "truth": False}
-        assert state.channel.rendered()[1] == render(MessageKind.RESPOND, name="Alex", **answer)
+        assert request == {"target": 1, "property": "hat", "value": "brown", "name": "Beth"}
+        assert answer == {**request, "truth": False, "name": "Alex"}
+        assert rendered(state.channel)[1] == render(MessageKind.RESPOND, **answer)
 
 
 class TestStep:
@@ -286,7 +291,7 @@ class TestRoleTable:
     def test_step_accepts_exactly_the_role_kinds(self, role, kind):
         state = state_for(role)
         assert state.role_of(state.next_agent) == role
-        before = (state.channel.rendered(), state.turn_index, state.next_agent)
+        before = (rendered(state.channel), state.turn_index, state.next_agent)
         if kind in SENDS[role]:
             step(state, VALID_ACTIONS[kind])
             assert state.channel.events()[-1][0] is kind
@@ -294,7 +299,7 @@ class TestRoleTable:
         else:
             with pytest.raises(IllegalActionError, match="cannot send"):
                 step(state, VALID_ACTIONS[kind])
-            assert (state.channel.rendered(), state.turn_index, state.next_agent) == before
+            assert (rendered(state.channel), state.turn_index, state.next_agent) == before
             assert state.outcome is None
 
     @pytest.mark.parametrize(
