@@ -118,7 +118,6 @@ class CommonsMetrics:
     survival_time: int
     survival_rate: bool
     efficiency: float
-    total_harvest: float
 
 
 def commons_metrics(history: Sequence[RoundRecord], config: CommonsConfig) -> CommonsMetrics:
@@ -136,7 +135,6 @@ def commons_metrics(history: Sequence[RoundRecord], config: CommonsConfig) -> Co
         survival_time=survival_time,
         survival_rate=survival_time >= config.m,
         efficiency=efficiency,
-        total_harvest=total,
     )
 
 

@@ -356,9 +356,6 @@ class CommunicationChannel:
     def checkpoints(self) -> tuple[int, ...]:
         return tuple(self._checkpoints)
 
-    def __len__(self) -> int:
-        return len(self._events)
-
     @property
     def last_checkpoint(self) -> int:
         """Index (message count) of the last irreversible boundary, 0 if none."""
@@ -450,16 +447,20 @@ def parse_trajectory_jsonl(text: str) -> list[dict]:
 
     Returns one dict per game or trial: {"turns": [...], "outcome": ...,
     "length": ..., **rest}, where rest is "accused" and "game_seed" for a
-    whodunit game and the totals of a commons trial.
+    whodunit game and the totals of a commons trial. A line that is not a
+    JSON object is refused as ``line <n>: <defect>``, counted from 1.
     """
     games: list[dict] = []
     turns: list[dict] = []
-    for line in text.splitlines():
+    for n, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        if "outcome" in obj:
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {line!r} is not JSON ({exc})") from None
+        if "outcome" in section(f"line {n}", obj):
             games.append({"turns": turns, **obj})
             turns = []
         else:

@@ -76,7 +76,6 @@ from .whodunit import (
     ROLE_ACCUSER,
     ROLE_INTEL,
     ROLE_PLAYER,
-    WhodunitState,
     consume_turn,
     new_game,
     step,
@@ -105,7 +104,7 @@ COMMONS_TEST_R0 = (100,) + tuple(range(210, 301, 5))
 class SplitManifest:
     """An env's train, validation and test games: whodunit specs or commons
     R0 values. Read from JSON, a split stays encoded until its first use, so
-    a run decodes only the split it plays and refuses a bad game there."""
+    a run decodes only the split it plays and refuses a bad game there, by key path."""
 
     def __init__(self, env: str, train: list, validation: list, test: list, decode=None) -> None:
         self.env, self._splits = env, {"train": train, "validation": validation, "test": test}
@@ -113,17 +112,15 @@ class SplitManifest:
 
     def split(self, name: str) -> list:
         if name in self._decode:  # still encoded, and stays so if a game is refused
-            self._splits[name] = [self._decode[name](x) for x in self._splits[name]]
+            key, decode = f"manifest.{name}", self._decode[name]
+            encoded = items(key, self._splits[name])
+            self._splits[name] = [decode(f"{key}[{i}]", x) for i, x in enumerate(encoded)]
             del self._decode[name]
         return self._splits[name]
 
     train = property(lambda self: self.split("train"))
     validation = property(lambda self: self.split("validation"))
     test = property(lambda self: self.split("test"))
-
-    def __eq__(self, other: object) -> bool:
-        same = lambda m: (m.env, m.train, m.validation, m.test)
-        return isinstance(other, SplitManifest) and same(self) == same(other)
 
     def to_json_obj(self) -> dict:
         """A whodunit manifest states its games' one schema at the top."""
@@ -143,14 +140,24 @@ class SplitManifest:
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SplitManifest":
         section("manifest", obj, None, ("env", "train", "validation", "test"))
-        decode = None
+        decode = number  # a commons R0 value is a finite number
         if obj["env"] == "whodunit":
             if "schema" not in obj:
                 raise ValueError("old-format manifest without a top-level 'schema': "
                                  "regenerate it with roguewatch gen-dataset")
-            schema = AttributeSchema.of(tuple((name, tuple(vs)) for name, vs in obj["schema"]))
-            decode = lambda spec: GameSpec.from_json_obj(spec, schema)
+            rows = items("manifest.schema", obj["schema"])
+            schema = AttributeSchema.of(tuple((name, tuple(vs)) for name, vs in rows))
+            decode = lambda key, spec: _game(key, spec, schema)
         return cls(obj["env"], obj["train"], obj["validation"], obj["test"], decode)
+
+
+def _game(key: str, obj: object, schema: AttributeSchema) -> GameSpec:
+    """A manifest's game, refused under its key path ``key``."""
+    section(key, obj, None, ("variant", "suspects", "culprit_id", "turn_limit", "seed"))
+    try:
+        return GameSpec.from_json_obj(obj, schema)
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def gen_dataset(
@@ -350,32 +357,25 @@ def check_config(config: ExperimentConfig) -> dict[str, Callable]:
     return players
 
 
-def build_whodunit_backends(
-    state: WhodunitState, agent_specs: dict, spec: GameSpec, game_seed: int
-) -> dict[str, object]:
-    """One backend per agent, built by its role's builder: the one in
-    ``agent_specs`` (a run's, from ``check_config``), or else read here from
-    the role's spec there; a role with no spec plays scripted."""
-    roles = dict.fromkeys(state.role_of(a) for a in state.order)
-    specs = section("agents", agent_specs, roles)
-    players = {r: p if callable(p := specs.get(r, {})) else _player(r, p) for r in roles}
-    partners = {a: ", ".join(b for b in state.order if b != a) for a in state.order}
-    return {a: players[state.role_of(a)](a, partners[a], spec, game_seed) for a in state.order}
-
-
 class WhodunitEnv:
-    """One whodunit game for ``drive``; a reset is a full reset."""
+    """One whodunit game for ``drive``; a reset is a full reset. A role's agents
+    come from the run's builder in ``config.agents``, or else from the role's
+    spec there, read by ``_player``; a role with no spec plays scripted."""
 
     def __init__(self, spec: GameSpec, config: ExperimentConfig, game_seed: int) -> None:
-        self.state = new_game(
+        self.state = state = new_game(
             spec,
             n_agents=config.n_agents,
             facts_per_agent=config.facts_per_agent,
             deal_seed=derive_seed(game_seed, "deal"),
         )
         self.spec = spec
-        self.backends = build_whodunit_backends(self.state, config.agents, spec, game_seed)
-        self.roles = {self.state.role_of(a) for a in self.state.order}
+        self.roles = roles = dict.fromkeys(state.role_of(a) for a in state.order)
+        specs = section("agents", config.agents, roles)
+        players = {r: p if callable(p := specs.get(r, {})) else _player(r, p) for r in roles}
+        partners = {a: ", ".join(b for b in state.order if b != a) for a in state.order}
+        self.backends = {a: players[state.role_of(a)](a, partners[a], spec, game_seed)
+                         for a in state.order}
 
     def observe(self) -> tuple[str, AgentObservation]:
         state = self.state
@@ -733,11 +733,17 @@ def train_monitor_from_logs(
     """Build the records from intervention-free logs and grid-search the
     monitor. Raises InsufficientDataError when one outcome class is absent
     among the training games with a monitored turn (a monitor cannot be
-    trained where no game ever succeeds or fails)."""
-    train, validation = (
-        records_from_games(parse_trajectory_jsonl(Path(path).read_text()), role, log)
-        for path, log in ((train_path, "train"), (validation_path, "validation"))
-    )
+    trained where no game ever succeeds or fails). A log line or turn that
+    cannot be read is refused behind the log's name, ``train`` or ``validation``."""
+
+    def records(path: Path, log: str) -> list[GameRecord]:
+        try:
+            games = parse_trajectory_jsonl(Path(path).read_text())
+        except ValueError as exc:
+            raise ValueError(f"{log}: {exc}") from None
+        return records_from_games(games, role, log)
+
+    train, validation = records(train_path, "train"), records(validation_path, "validation")
     labels = {float(game.label) for game in train if game.features}
     if labels != {0.0, 1.0}:
         raise InsufficientDataError(

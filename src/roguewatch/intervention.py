@@ -62,9 +62,6 @@ class TriggerBudget:
     cap_per_role: int
     used: dict[str, int] = field(default_factory=dict)
 
-    def remaining(self, role: str) -> int:
-        return self.cap_per_role - self.used.get(role, 0)
-
 
 def evaluate_trigger(
     probability: float, tau: float, budget: TriggerBudget, role: str
@@ -72,8 +69,9 @@ def evaluate_trigger(
     """True iff the success estimate is strictly below tau and the role has
     budget left; consumes one unit of budget when true. The one gate for
     fitted and random monitors alike."""
-    if probability < tau and budget.remaining(role) > 0:
-        budget.used[role] = budget.used.get(role, 0) + 1
+    used = budget.used.get(role, 0)
+    if probability < tau and used < budget.cap_per_role:
+        budget.used[role] = used + 1
         return True
     return False
 

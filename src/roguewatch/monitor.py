@@ -43,14 +43,10 @@ STATISTIC_NAMES = ("entropy", "varentropy", "kurtosis")
 DEFAULT_ALPHA = 1.0
 DEFAULT_TAUS = tuple(i / 100.0 for i in range(101))
 DEGREES = (1, 2, 3, 4, 5)
-
-
-def all_feature_masks() -> tuple[tuple[str, ...], ...]:
-    """The 7 non-empty statistic subsets, smallest first, in a fixed order."""
-    masks = []
-    for size in (1, 2, 3):
-        masks.extend(itertools.combinations(STATISTIC_NAMES, size))
-    return tuple(masks)
+# The 7 non-empty statistic subsets, smallest first, in a fixed order.
+FEATURE_MASKS = tuple(
+    mask for size in (1, 2, 3) for mask in itertools.combinations(STATISTIC_NAMES, size)
+)
 
 
 @dataclass(frozen=True)
@@ -360,7 +356,7 @@ def grid_search_ranked(
     scaled = _scaled(_raw_table(validation, FULL_MASK).T, system.normalization)
     candidates: list[MonitorModel] = []
     for degree in DEGREES:
-        for mask in all_feature_masks():
+        for mask in FEATURE_MASKS:
             model = fit_monitor(system, mask, degree, alpha=alpha, role=role)
             cell = [scaled[i] for i in _input_indices(mask)]
             candidates.append(_best_threshold(model, cell, validation, DEFAULT_TAUS))

@@ -63,8 +63,8 @@ def kurtosis(p: Sequence[float]) -> float:
     """Normalized fourth moment of the surprisal.
 
     Raises DegenerateDistributionError when the varentropy is zero (all
-    surprisals equal, e.g. a one-hot or uniform vector); callers substitute
-    a configured fallback.
+    surprisals equal, e.g. a one-hot or uniform vector); feature pooling
+    substitutes KURTOSIS_FALLBACK.
     """
     value = _statistics(p)[2]
     if value is None:
@@ -105,14 +105,12 @@ class FeatureVector:
 
 
 def extract_features(
-    positions: Sequence[Sequence[float]],
-    turn_index: int,
-    kurtosis_fallback: float = KURTOSIS_FALLBACK,
+    positions: Sequence[Sequence[float]], turn_index: int
 ) -> Optional[FeatureVector]:
     """Pool a turn's annotated positions into a FeatureVector.
 
     Returns None on a no-signal turn (no annotated positions). Degenerate
-    positions contribute the kurtosis fallback.
+    positions contribute KURTOSIS_FALLBACK.
     """
     if not positions:
         return None
@@ -123,7 +121,7 @@ def extract_features(
         h, var, kurt = _statistics(p)
         entropies.append(h)
         varentropies.append(var)
-        kurtoses.append(kurtosis_fallback if kurt is None else kurt)
+        kurtoses.append(KURTOSIS_FALLBACK if kurt is None else kurt)
     return FeatureVector(
         max_entropy=max(entropies),
         max_varentropy=max(varentropies),

@@ -27,7 +27,6 @@ from roguewatch.cli import main as cli_main
 from roguewatch.harness import ExperimentConfig, SplitManifest, check_config, run_experiment
 from roguewatch.monitor import GameRecord, NormalSystem, fit_monitor
 from roguewatch.uncertainty import FeatureVector
-from roguewatch.whodunit import new_game
 
 from .test_harness import VALID
 
@@ -102,8 +101,7 @@ def play(obj, manifest) -> str:
         check_config(config)
         if any(spec.get("type") == "llm" for spec in config.agents.values()):
             for game in manifest.test:
-                state = new_game(game, config.n_agents, config.facts_per_agent)
-                harness.build_whodunit_backends(state, config.agents, game, game_seed=0)
+                harness.WhodunitEnv(game, config, game_seed=0)
             return ""
         report = run_experiment(config, manifest, split="test")
     except Exception as exc:

@@ -148,11 +148,15 @@ class TestManifestFormat:
         obj = json.loads(json.dumps(manifest.to_json_obj(), indent=2))
         return obj, SplitManifest.from_json_obj(obj)
 
+    @staticmethod
+    def games(manifest: SplitManifest) -> tuple:
+        return manifest.env, manifest.train, manifest.validation, manifest.test
+
     @pytest.mark.parametrize("variant", ["asymmetric", "symmetric"])
     def test_whodunit_roundtrip(self, variant):
         manifest = gen_dataset("whodunit", sizes=(5, 3, 4), seed=2, variant=variant)
         obj, decoded = self.roundtrip(manifest)
-        assert decoded == manifest
+        assert self.games(decoded) == self.games(manifest)
         schema = AttributeSchema.for_variant(variant)
         assert obj["schema"] == [[name, list(values)] for name, values in schema.attributes]
         game = obj["test"][0]
@@ -167,7 +171,7 @@ class TestManifestFormat:
     def test_commons_roundtrip(self):
         manifest = gen_dataset("commons", seed=4)
         obj, decoded = self.roundtrip(manifest)
-        assert decoded == manifest
+        assert self.games(decoded) == self.games(manifest)
         assert sorted(obj) == ["env", "test", "train", "validation"]
         assert obj["train"] == manifest.train
 
@@ -218,7 +222,7 @@ class TestManifestFormat:
     def test_ten_values_fit_a_digit(self):
         manifest = self.wide_manifest(10)
         obj, decoded = self.roundtrip(manifest)
-        assert decoded == manifest
+        assert self.games(decoded) == self.games(manifest)
         assert obj["train"][0]["suspects"][-1] == "19"
 
     def test_more_than_ten_values_rejected(self):
@@ -258,7 +262,7 @@ class TestChannel:
         for i in range(5):
             ch.append(*msg(i))
         ch.rollback_to_checkpoint()
-        assert len(ch) == 0
+        assert len(ch.events()) == 0
 
     def test_rollback_to_checkpoint_keeps_prefix(self):
         ch = CommunicationChannel()
@@ -286,7 +290,7 @@ class TestChannel:
                     ch.rollback_to_checkpoint()
                 assert rendered(ch)[: len(frozen)] == frozen
                 assert list(ch.checkpoints) == sorted(set(ch.checkpoints))
-                assert all(c <= len(ch) for c in ch.checkpoints)
+                assert all(c <= len(ch.events()) for c in ch.checkpoints)
 
     def test_rendered_and_events_follow_the_messages(self):
         """The lines and events the channel keeps equal a plain list model

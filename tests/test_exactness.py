@@ -21,19 +21,20 @@ from roguewatch.harness import ExperimentConfig, gen_dataset, run_experiment
 from roguewatch.monitor import (
     DEFAULT_TAUS,
     DEGREES,
+    FEATURE_MASKS,
     GameRecord,
     NormalSystem,
     _best_threshold,
     _columns,
     _raw_table,
     _scaled,
-    all_feature_masks,
     design_matrix,
     fit_monitor,
     grid_search_ranked,
 )
 from roguewatch.uncertainty import (
     DEGENERATE_VARENTROPY,
+    KURTOSIS_FALLBACK,
     FeatureVector,
     entropy,
     extract_features,
@@ -188,14 +189,13 @@ def test_extract_features_equals_separate_statistics():
     turns = [[p] for p in vectors]
     turns += [rng.sample(vectors, rng.randint(2, 3)) for _ in range(200)]
     for turn_index, positions in enumerate(turns, start=1):
-        fallback = rng.choice([0.0, -1.5, 3.0])
-        fv = extract_features(positions, turn_index, kurtosis_fallback=fallback)
+        fv = extract_features(positions, turn_index)
         kurtoses = []
         for p in positions:
             try:
                 kurtoses.append(kurtosis(p))
             except DegenerateDistributionError:
-                kurtoses.append(fallback)
+                kurtoses.append(KURTOSIS_FALLBACK)
         assert bits([fv.max_entropy, fv.max_varentropy, fv.max_kurtosis]) == bits(
             [
                 max(entropy(p) for p in positions),
@@ -261,7 +261,7 @@ def monitor_cells():
     rng = random.Random(41)
     system = NormalSystem.from_games(seeded_games(rng, 60))
     models = [
-        fit_monitor(system, mask, degree) for degree in DEGREES for mask in all_feature_masks()
+        fit_monitor(system, mask, degree) for degree in DEGREES for mask in FEATURE_MASKS
     ]
     flat = [
         GameRecord(features=(FeatureVector(rng.uniform(0.0, 2.3), 0.5, 3.0, 4),), label=i % 2 == 0)
@@ -326,7 +326,7 @@ def test_tau_search_scores_are_the_live_scores(monkeypatch):
     train = seeded_games(random.Random(41), 60)
     ranked = {(m.feature_mask, m.degree): m for m in grid_search_ranked(train, validation)}
     system = NormalSystem.from_games(train)
-    cells = [(mask, degree) for degree in DEGREES for mask in all_feature_masks()]
+    cells = [(mask, degree) for degree in DEGREES for mask in FEATURE_MASKS]
     assert len(searched) == len(cells) == len(ranked)
     for (mask, degree), scores in zip(cells, searched):
         check(fit_monitor(system, mask, degree), scores, ranked[mask, degree])
@@ -368,7 +368,7 @@ def test_grid_cells_are_exact_slices_of_the_shared_system():
     labels = np.array([float(game.label) for game in train for _ in game.features])
     system = NormalSystem.from_games(train)
     for degree in DEGREES:
-        for mask in all_feature_masks():
+        for mask in FEATURE_MASKS:
             columns = _columns(mask, degree)
             bounds, design, weights, cond = reference_fit(train, mask, degree)
             own = np.ascontiguousarray(design.T)

@@ -140,7 +140,7 @@ class TestGenDataset:
         with pytest.raises(ValueError, match="'hat'"):
             restored.split("train")
         with pytest.raises(ValueError, match="'hat'"):
-            restored == manifest
+            restored.train
 
 
 class TestRunExperiment:
@@ -597,8 +597,8 @@ class TestConfigGate:
         for obj in VALID:
             config = ExperimentConfig.from_json_obj(obj)
             game = MANIFESTS[config.variant]().test[0]
-            state = new_game(game, n_agents=config.n_agents, facts_per_agent=config.facts_per_agent)
-            backends = harness.build_whodunit_backends(state, config.agents, game, game_seed=0)
+            env = harness.WhodunitEnv(game, config, game_seed=0)
+            state, backends = env.state, env.backends
             assert list(backends) == list(state.order)
             for agent_id, backend in backends.items():
                 spec = config.agents.get(state.role_of(agent_id), {})
@@ -767,12 +767,13 @@ class TestTraining:
         "edit, defect",
         [
             (lambda turn: {**turn, "features": {"entropy": 0.2, "kurtosis": 0.0, "turn": 2}},
-             "'varentropy' is missing"),
-            (lambda turn: {key: v for key, v in turn.items() if key != "role"}, "'role' is missing"),
-            (lambda turn: {**turn, "features": [1]}, "list indices must be integers"),
+             "game 2 turn 1: 'varentropy' is missing"),
+            (lambda turn: {key: v for key, v in turn.items() if key != "role"},
+             "game 2 turn 1: 'role' is missing"),
+            (lambda turn: {**turn, "features": [1]}, "game 2 turn 1: list indices must be integers"),
             (lambda turn: {**turn, "features": {**turn["features"], "entropy": math.nan}},
-             "feature statistics must be finite"),
-            (lambda turn: [1], "'list' object has no attribute 'get'"),
+             "game 2 turn 1: feature statistics must be finite"),
+            (lambda turn: [1], "line 8: [1] is not an object"),
         ],
         ids=["no-varentropy", "no-role", "listed-features", "nan-entropy", "listed-turn"],
     )
@@ -792,7 +793,7 @@ class TestTraining:
             paths[name].write_text("".join(json.dumps(line) + "\n" for line in lines))
         with pytest.raises(ValueError) as refused:
             train_monitor_from_logs(paths["train"], paths["validation"], role="intel")
-        assert str(refused.value).startswith(f"{log}: game 2 turn 1: {defect}")
+        assert str(refused.value).startswith(f"{log}: {defect}")
 
     def test_ablation_export(self, tmp_path):
         manifest = small_manifest(25, 10, 2)
@@ -885,15 +886,13 @@ class TestDegrade:
             def reset(self):
                 pass
 
-        build = harness.build_whodunit_backends
+        class CrashingEnv(harness.WhodunitEnv):
+            def __init__(self, spec, config, game_seed):
+                super().__init__(spec, config, game_seed)
+                if spec is bad:
+                    self.backends[self.state.order[0]] = Crashing()
 
-        def build_with_crash(state, agent_specs, spec, game_seed):
-            backends = build(state, agent_specs, spec, game_seed)
-            if spec is bad:
-                backends[state.order[0]] = Crashing()
-            return backends
-
-        monkeypatch.setattr(harness, "build_whodunit_backends", build_with_crash)
+        monkeypatch.setattr(harness, "WhodunitEnv", CrashingEnv)
         with caplog.at_level("WARNING", logger="roguewatch.harness"):
             report = run_experiment(config, manifest, split="test", output_dir=tmp_path / "bad")
         assert report["games"] == 4 and report["invalid"] == 1
@@ -1717,4 +1716,51 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("roguewatch: error: ") and err.count("\n") == 1
         assert key in err and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "env, edit, message",
+        [
+            ("whodunit", {"schema": 5}, "manifest.schema: 5 is not a list"),
+            ("whodunit", {"test": 5}, "manifest.test: 5 is not a list"),
+            ("whodunit", {"test": [{"suspects": []}]}, "manifest.test[0]: 'variant' is missing"),
+            ("whodunit", {"test": [{"variant": "asymmetric", "suspects": 5, "culprit_id": 1,
+                                    "turn_limit": 31, "seed": 0}]},
+             "manifest.test[0]: 'int' object is not iterable"),
+            ("commons", {"test": 5}, "manifest.test: 5 is not a list"),
+            ("commons", {"test": [100, "x"]}, "manifest.test[1]: 'x' is not a finite number"),
+        ],
+        ids=["schema-5", "test-5", "keyless-game", "suspects-5", "commons-test-5", "commons-r0-x"],
+    )
+    def test_a_manifest_below_its_top_level_is_refused_by_key_path(
+        self, env, edit, message, tmp_path, capsys
+    ):
+        manifest = gen_dataset(env, sizes=(1, 1, None if env == "commons" else 2), seed=0)
+        manifest_path = tmp_path / "manifest.json"
+        manifest_path.write_text(json.dumps({**manifest.to_json_obj(), **edit}))
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps({"env": env}))
+        out = tmp_path / "out"
+        argv = ["run", "--config", str(config_path), "--manifest", str(manifest_path)]
+        assert cli_main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"roguewatch: error: {message}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("5\n", "train: line 1: 5 is not an object"),
+            ("\nnope\n", "train: line 2: 'nope' is not JSON (Expecting value: line 1 column 1 "
+                         "(char 0))"),
+        ],
+        ids=["a-number", "not-json"],
+    )
+    def test_a_malformed_log_line_is_refused_by_log_and_line(self, text, message, tmp_path,
+                                                            capsys):
+        log_path = tmp_path / "log.jsonl"
+        log_path.write_text(text)
+        out = tmp_path / "monitor.json"
+        argv = ["train-monitor", "--train", str(log_path), "--validation", str(log_path)]
+        assert cli_main([*argv, "--role", "accuser", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"roguewatch: error: {message}\n"
         assert not out.exists()

@@ -52,7 +52,7 @@ class TestFullReset:
         )
         assert state.turn_index == 3
         full_reset(state)
-        assert len(state.channel) == 0
+        assert len(state.channel.events()) == 0
         assert state.turn_index == 1
         assert state.next_agent == "Beth"
         assert not state.terminal
@@ -74,10 +74,10 @@ class TestRoundReset:
             post_discussion(state, f"round {round_index} talk a")
             post_discussion(state, f"round {round_index} talk b")
         log_before = [dict(record.harvests) for record in state.history]
-        messages_before = len(state.channel)
+        messages_before = len(state.channel.events())
         round_reset(state)
         assert [record.harvests for record in state.history] == log_before
-        assert len(state.channel) == messages_before - 2
+        assert len(state.channel.events()) == messages_before - 2
         assert state.channel.events()[-1][0] is MessageKind.SYSTEM
 
     def test_round_reset_idempotent_at_checkpoint(self):
@@ -86,7 +86,7 @@ class TestRoundReset:
         harvest_phase(state, {"a": 5.0}, seed=0)
         round_reset(state)
         round_reset(state)
-        assert len(state.channel) == 1
+        assert len(state.channel.events()) == 1
 
 
 class TestNonePolicyIdentity:

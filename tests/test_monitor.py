@@ -15,6 +15,7 @@ import pytest
 
 from roguewatch.errors import InsufficientDataError, SingularSystemError
 from roguewatch.monitor import (
+    FEATURE_MASKS,
     GameRecord,
     MonitorModel,
     NormalSystem,
@@ -22,7 +23,6 @@ from roguewatch.monitor import (
     _best_threshold,
     _raw_table,
     _scaled,
-    all_feature_masks,
     design_matrix,
     fit_monitor,
     grid_search,
@@ -240,7 +240,7 @@ class TestGridSearch:
         assert calls == {"_raw_table": 2, "design_matrix": 1, "fit_monitor": 35}
 
     def test_mask_catalog(self):
-        masks = all_feature_masks()
+        masks = FEATURE_MASKS
         assert len(masks) == 7
         assert masks[0] == ("entropy",)
         assert masks[-1] == ("entropy", "varentropy", "kurtosis")

@@ -130,7 +130,7 @@ def test_extract_features_single_position_and_fallback():
     assert fv.max_entropy == pytest.approx(entropy(p))
     assert fv.max_kurtosis == pytest.approx(kurtosis(p))
     one_hot = [1.0, 0.0]
-    fv2 = extract_features([one_hot], turn_index=2, kurtosis_fallback=0.0)
+    fv2 = extract_features([one_hot], turn_index=2)
     assert fv2.max_kurtosis == 0.0
     assert fv2.max_entropy == 0.0
 
