@@ -161,6 +161,8 @@ class AttributeSchema:
         for name, values in self.attributes:
             if len(set(values)) < 2:
                 raise ValueError(f"attribute {name!r} needs at least 2 distinct values")
+            if len(values) > 10:
+                raise ValueError(f"attribute {name!r} has {len(values)} values; a digit holds 10")
 
     @functools.cached_property
     def names(self) -> tuple[str, ...]:
@@ -184,9 +186,6 @@ class AttributeSchema:
     def _digit_rows(self) -> tuple[dict, ...]:
         """Per attribute, one dict from each value's digit ("0"-"9") to its
         pair and from each pair back to its digit."""
-        for name, values in self.attributes:
-            if len(values) > 10:
-                raise ValueError(f"attribute {name!r} has {len(values)} values; a digit holds 10")
         return tuple({**dict(zip("0123456789", row)), **dict(zip(row, "0123456789"))}
                      for row in self.pairs)
 
@@ -449,15 +448,29 @@ def parse_trajectory_jsonl(text: str) -> list[dict]:
     "length": ..., **rest}, where rest is "accused" and "game_seed" for a
     whodunit game and the totals of a commons trial. A line that is not a
     JSON object is refused as ``line <n>: <defect>``, counted from 1.
+
+    The games hold each object key and string value once: an equal string
+    read again is the first one seen in ``text``. Each line string is let go
+    once it is decoded, so a log is not held twice over while it is read.
     """
+    shared = {}.setdefault  # each string of the log, mapped to its first copy
+    decode = json.JSONDecoder(
+        object_pairs_hook=lambda pairs: {
+            shared(k, k): shared(v, v) if type(v) is str else v for k, v in pairs
+        }
+    ).decode
     games: list[dict] = []
     turns: list[dict] = []
-    for n, line in enumerate(text.splitlines(), 1):
-        line = line.strip()
+    lines = text.splitlines()
+    lines.reverse()  # popped from the end, so line n is let go after it is decoded
+    for n in range(1, len(lines) + 1):
+        line = lines.pop().strip()
         if not line:
             continue
         try:
-            obj = json.loads(line)
+            if line.startswith("\ufeff"):  # json.loads refuses a BOM; JSONDecoder.decode does not
+                raise json.JSONDecodeError("Unexpected UTF-8 BOM (decode using utf-8-sig)", line, 0)
+            obj = decode(line)
         except ValueError as exc:
             raise ValueError(f"line {n}: {line!r} is not JSON ({exc})") from None
         if "outcome" in section(f"line {n}", obj):

@@ -145,10 +145,23 @@ class SplitManifest:
             if "schema" not in obj:
                 raise ValueError("old-format manifest without a top-level 'schema': "
                                  "regenerate it with roguewatch gen-dataset")
-            rows = items("manifest.schema", obj["schema"])
-            schema = AttributeSchema.of(tuple((name, tuple(vs)) for name, vs in rows))
+            schema = _schema("manifest.schema", obj["schema"])
             decode = lambda key, spec: _game(key, spec, schema)
         return cls(obj["env"], obj["train"], obj["validation"], obj["test"], decode)
+
+
+def _schema(key: str, rows: object) -> AttributeSchema:
+    """A manifest's schema from its ``[name, values]`` rows, refused under its key path ``key``."""
+    attributes = []
+    for i, row in enumerate(items(key, rows)):
+        name, values = items(f"{key}[{i}]", row, 2, "a [name, values] pair")
+        values = items(f"{key}[{i}][1]", values)
+        attributes.append((string(f"{key}[{i}][0]", name),
+                           tuple(string(f"{key}[{i}][1][{j}]", v) for j, v in enumerate(values))))
+    try:
+        return AttributeSchema.of(tuple(attributes))
+    except ValueError as exc:
+        raise ValueError(f"{key}: {exc}") from None
 
 
 def _game(key: str, obj: object, schema: AttributeSchema) -> GameSpec:

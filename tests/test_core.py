@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -24,7 +25,9 @@ from roguewatch.core import (
     parse_trajectory_jsonl,
 )
 from roguewatch.errors import InfeasibleRequestError
-from roguewatch.harness import SplitManifest, gen_dataset
+from roguewatch.harness import ExperimentConfig, SplitManifest, gen_dataset, run_experiment
+
+from .test_golden import GOLDEN, digests
 
 
 def msg(i: int, kind: MessageKind = MessageKind.DISCUSSION) -> tuple[MessageKind, dict]:
@@ -336,6 +339,100 @@ class TestTrajectorySerialization:
         assert games[0]["accused"] == 2
         assert games[0]["length"] == 1
         assert games[0]["turns"][0]["agent"] == "Beth"
+
+
+def reference_games(text: str) -> list[dict]:
+    """A log read line by line with ``json.loads``, refused as the reader refuses it."""
+    games, turns = [], []
+    for n, line in enumerate(text.splitlines(), 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except ValueError as exc:
+            raise ValueError(f"line {n}: {line!r} is not JSON ({exc})") from None
+        if not isinstance(obj, dict):
+            raise ValueError(f"line {n}: {obj!r} is not an object")
+        if "outcome" in obj:
+            games.append({"turns": turns, **obj})
+            turns = []
+        else:
+            turns.append(obj)
+    return games
+
+
+def outcome(read, text: str):
+    """The games ``read`` makes of ``text``, or the message it refuses it with."""
+    try:
+        return read(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+# Every line boundary str.splitlines knows, by its name.
+SEPARATORS = {"LF": "\n", "CR": "\r", "CRLF": "\r\n", "VT": "\v", "FF": "\f", "FS": "\x1c",
+              "GS": "\x1d", "RS": "\x1e", "NEL": "\x85", "LS": "\u2028", "PS": "\u2029"}
+TURN = '{"action": {"kind": "skip"}, "agent": "Alex", "role": "accuser", "turn": 1}'
+SUMMARY = '{"accused": null, "length": 1, "outcome": "timeout"}'
+
+
+class TestTrajectoryReader:
+    @pytest.mark.parametrize("name", sorted(GOLDEN))
+    def test_a_golden_log_reads_as_line_by_line_json_with_each_string_once(self, name, tmp_path):
+        digests(name, tmp_path)
+        text = (tmp_path / "trajectories.jsonl").read_text()
+        games = parse_trajectory_jsonl(text)
+        assert games == reference_games(text) and games
+        first: dict[str, str] = {}  # each key and string value of an object, by its first copy
+
+        def shared(obj):
+            for key, value in obj.items():
+                assert first.setdefault(key, key) is key
+                if type(value) is str:
+                    assert first.setdefault(value, value) is value
+                elif isinstance(value, dict):
+                    shared(value)
+
+        for game in games:
+            for turn in game["turns"]:
+                shared(turn)
+            shared({k: v for k, v in game.items() if k != "turns"})
+
+    @pytest.mark.parametrize("sep", SEPARATORS.values(), ids=SEPARATORS.keys())
+    def test_every_line_boundary_reads_as_line_by_line_json(self, sep):
+        kept = sep.join([TURN, "", " \t ", SUMMARY, " \x1f ", TURN, "  " + SUMMARY])
+        games = parse_trajectory_jsonl(kept)
+        assert games == reference_games(kept) and len(games) == 2
+        for bad, message in [
+            ("nope", "line 4: 'nope' is not JSON (Expecting value: line 1 column 1 (char 0))"),
+            ("[5]", "line 4: [5] is not an object"),
+            ("\ufeff{}", "line 4: '\\ufeff{}' is not JSON (Unexpected UTF-8 BOM (decode using "
+                         "utf-8-sig): line 1 column 1 (char 0))"),
+        ]:
+            text = sep.join([TURN, "", " \x1f ", f" {bad} ", SUMMARY])
+            assert outcome(parse_trajectory_jsonl, text) == outcome(reference_games, text)
+            assert outcome(parse_trajectory_jsonl, text) == message
+
+    def test_a_parsed_log_holds_each_string_once(self, tmp_path):
+        """A seeded symmetric rogue log of over 4,000 turn lines reads back
+        within 1,100 traced bytes per line at the peak: its strings are
+        shared and each line string is let go once it is decoded."""
+        config = ExperimentConfig.from_json_obj({
+            "variant": "symmetric", "n_agents": 4, "facts_per_agent": 3,
+            "agents": {"player": {"type": "rogue", "epsilon": 0.1}},
+        })
+        manifest = gen_dataset("whodunit", sizes=(0, 0, 600), seed=0, variant="symmetric")
+        run_experiment(config, manifest, split="test", output_dir=tmp_path)
+        text = (tmp_path / "trajectories.jsonl").read_text()
+        tracemalloc.start()
+        try:
+            games = parse_trajectory_jsonl(text)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(len(game["turns"]) for game in games) >= 4000
+        assert peak / len(text.splitlines()) < 1100
 
 
 def test_derive_seed_stable_and_distinct():

@@ -20,6 +20,7 @@ from roguewatch.agents import AgentObservation, ScriptedAccuser, ScriptedIntel
 from roguewatch.cli import main as cli_main
 from roguewatch.commons import CommonsConfig, RoundRecord, commons_metrics
 from roguewatch.core import (
+    AttributeSchema,
     GameSpec,
     MessageKind,
     Outcome,
@@ -1582,6 +1583,12 @@ class TestSummarize:
         assert "[0.30, 0.70]" in csv_text
 
 
+def schema_with(*rows) -> list:
+    """The asymmetric schema's rows as a manifest states them, the first replaced by ``rows``."""
+    stated = AttributeSchema.for_variant("asymmetric").attributes
+    return [*rows, *([name, list(values)] for name, values in stated[len(rows):])]
+
+
 class TestCli:
     @pytest.mark.parametrize(
         "content, refusal",
@@ -1729,8 +1736,29 @@ class TestCli:
              "manifest.test[0]: 'int' object is not iterable"),
             ("commons", {"test": 5}, "manifest.test: 5 is not a list"),
             ("commons", {"test": [100, "x"]}, "manifest.test[1]: 'x' is not a finite number"),
+            ("whodunit", {"schema": schema_with(5)},
+             "manifest.schema[0]: 5 is not a [name, values] pair"),
+            ("whodunit", {"schema": schema_with(["hat", 5])},
+             "manifest.schema[0][1]: 5 is not a list"),
+            ("whodunit", {"schema": schema_with(["hat"])},
+             "manifest.schema[0]: ['hat'] is not a [name, values] pair"),
+            ("whodunit", {"schema": schema_with(["hat", ["brown", "black"], 1])},
+             "manifest.schema[0]: ['hat', ['brown', 'black'], 1] is not a [name, values] pair"),
+            ("whodunit", {"schema": schema_with([5, ["brown", "black"]])},
+             "manifest.schema[0][0]: 5 is not a string"),
+            ("whodunit", {"schema": schema_with(["hat", [1, 2]])},
+             "manifest.schema[0][1][0]: 1 is not a string"),
+            ("whodunit", {"schema": schema_with(["hat", ["brown", "black"]], ["hat", ["a", "b"]])},
+             "manifest.schema: attribute names must be unique"),
+            ("whodunit", {"schema": schema_with(["hat", ["brown", "brown"]])},
+             "manifest.schema: attribute 'hat' needs at least 2 distinct values"),
+            ("whodunit", {"schema": schema_with(["hat", [str(k) for k in range(11)]])},
+             "manifest.schema: attribute 'hat' has 11 values; a digit holds 10"),
         ],
-        ids=["schema-5", "test-5", "keyless-game", "suspects-5", "commons-test-5", "commons-r0-x"],
+        ids=["schema-5", "test-5", "keyless-game", "suspects-5", "commons-test-5", "commons-r0-x",
+             "schema-row-5", "schema-values-5", "schema-row-of-1", "schema-row-of-3",
+             "schema-name-5", "schema-values-of-ints", "schema-name-twice", "schema-one-value",
+             "schema-11-values"],
     )
     def test_a_manifest_below_its_top_level_is_refused_by_key_path(
         self, env, edit, message, tmp_path, capsys
@@ -1752,8 +1780,14 @@ class TestCli:
             ("5\n", "train: line 1: 5 is not an object"),
             ("\nnope\n", "train: line 2: 'nope' is not JSON (Expecting value: line 1 column 1 "
                          "(char 0))"),
+            ('{"turn": 1}\r\n \x1f \v\f5', "train: line 4: 5 is not an object"),
+            ("\x1c\x1d\x1e\x85\u2028\u2029 nope", "train: line 7: 'nope' is not JSON (Expecting "
+                                                 "value: line 1 column 1 (char 0))"),
+            ("\r\r\n[1]\r", "train: line 3: [1] is not an object"),
+            ("\n\ufeff{}\n", "train: line 2: '\\ufeff{}' is not JSON (Unexpected UTF-8 BOM (decode "
+                           "using utf-8-sig): line 1 column 1 (char 0))"),
         ],
-        ids=["a-number", "not-json"],
+        ids=["a-number", "not-json", "crlf-vt-ff", "fs-to-ps", "cr", "bom"],
     )
     def test_a_malformed_log_line_is_refused_by_log_and_line(self, text, message, tmp_path,
                                                             capsys):
